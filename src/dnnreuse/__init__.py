@@ -52,6 +52,7 @@ from .netprofile import (
     aggregate,
     batch_scale,
     layerwise_ai_stats,
+    load_profiles,
     peak_concurrent_activations,
 )
 from .roofline import (
@@ -70,7 +71,6 @@ from .stats import (
     ConfidenceInterval,
     alpha_grid,
     alpha_sweep,
-    calibration_report,
     fisher_ci,
     fisher_z_width,
     min_sample_size,

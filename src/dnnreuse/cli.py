@@ -15,6 +15,7 @@ exactly), newline line endings.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -23,29 +24,26 @@ import sys
 
 import click
 
-from .errors import DegenerateDataError, InputError
+from .errors import DegenerateDataError, InputError, finite
 from .graph import infer_shapes, parse_model, topo_order
 from .layercost import layer_cost
-from .measure import MeasurementRecord, energy_efficiency, load_measurements
+from .measure import energy_efficiency, load_measurements
 from .metrics import DEFAULT_ALPHA, TAU_HIGH, TAU_LOW, derive_metrics, weighted_intensity
-from .netprofile import NetworkProfile, aggregate, batch_scale, layerwise_ai_stats
+from .netprofile import aggregate, batch_scale, layerwise_ai_stats, load_profiles
 from .roofline import load_hardware_spec, roofline_points
 from .stats import alpha_sweep, fisher_ci, pearson, spearman
 
+# CSV cell formats; each command names one per column in its column map
 RATIO = "{:.4f}".format
 ENERGY = "{:.3e}".format
+TEXT = str
 
 
-def _count(value) -> str:
+def COUNT(value) -> str:
     # counts are exact integers; energies and other floats get 4 significant digits
     if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
         return str(int(value))
     return ENERGY(value)
-
-
-def _fail(message: str, code: int):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
 
 
 def _guarded(func):
@@ -55,10 +53,9 @@ def _guarded(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except DegenerateDataError as exc:
-            _fail(str(exc), 3)
-        except (InputError, OSError) as exc:
-            _fail(str(exc), 2)
+        except (DegenerateDataError, InputError, OSError, UnicodeDecodeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3 if isinstance(exc, DegenerateDataError) else 2)
 
     return wrapper
 
@@ -67,27 +64,43 @@ def _read_text(path: str) -> str:
     return pathlib.Path(path).read_text(encoding="utf-8")
 
 
-def _load_graph(path: str):
+def _parse_file(path: str, parse):
+    """parse(text) of the file at `path`; an input error names the file."""
+    text = _read_text(path)
     try:
-        text = _read_text(path)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        return infer_shapes(parse_model(text, name=pathlib.Path(path).stem))
+        return parse(text)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _emit_csv(header, rows):
+def _load_graph(path: str):
+    return _parse_file(path, lambda text: infer_shapes(parse_model(text, name=pathlib.Path(path).stem)))
+
+
+def _cell(value, form) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else form(value)
+
+
+def _emit(fmt: str, doc, columns: dict, rows) -> None:
+    """Print `doc` as JSON, or `rows` as CSV under the column map `columns`.
+
+    The CSV header is the map's keys. A cell is its column's format
+    applied to the row's value; a string passes through unchanged, and
+    None or a missing key prints as empty.
+    """
+    if fmt == "json":
+        click.echo(json.dumps(doc, indent=2))
+        return
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows([_cell(row.get(name), form) for name, form in columns.items()] for row in rows)
     click.echo(out.getvalue(), nl=False)
 
 
-def _emit_json(payload):
-    click.echo(json.dumps(payload, indent=2))
+_format_option = click.option("--format", "fmt", default="csv", show_default=True, type=click.Choice(["csv", "json"]))
 
 
 @click.group()
@@ -101,82 +114,31 @@ def main():
 @click.option("--alpha", default=DEFAULT_ALPHA, show_default=True, type=float, help="Activation-reuse weight for DI.")
 @click.option("--tau-low", default=TAU_LOW, type=float, help="A/W below this is activations-scarce.")
 @click.option("--tau-high", default=TAU_HIGH, type=float, help="A/W above this is activations-dominant.")
-@click.option("--format", "fmt", default="csv", show_default=True, type=click.Choice(["csv", "json"]))
+@_format_option
 @_guarded
 def analyze(models, batch, alpha, tau_low, tau_high, fmt):
     """Whole-network counts, reuse ratios, and derived metrics per model."""
-    reports = []
+    records = []
     for path in models:
         graph = _load_graph(path)
-        profile = aggregate(graph)
-        if batch != 1:
-            profile = batch_scale(profile, batch)
-        derived = derive_metrics(profile, alpha=alpha, tau_low=tau_low, tau_high=tau_high)
-        reports.append((graph.name, profile, derived))
-    if fmt == "json":
-        _emit_json(
-            [
-                {
-                    "model": name,
-                    "batch": batch,
-                    "macs": p.macs,
-                    "weights": p.weights,
-                    "activations": p.activations,
-                    "peak_concurrent": p.peak_concurrent,
-                    "ai_c": p.ai_c,
-                    "weight_reuse": p.weight_reuse,
-                    "activation_reuse": p.activation_reuse,
-                    "a_over_w": p.a_over_w,
-                    "alpha": d.alpha,
-                    "di": d.di,
-                    "d_f": d.d_f,
-                    "case": d.case_tag.value,
-                }
-                for name, p, d in reports
-            ]
-        )
-        return
-    rows = [
-        [
-            name,
-            _count(p.macs),
-            _count(p.weights),
-            _count(p.activations),
-            _count(p.peak_concurrent),
-            RATIO(p.ai_c),
-            RATIO(p.weight_reuse),
-            RATIO(p.activation_reuse),
-            RATIO(p.a_over_w),
-            RATIO(d.alpha),
-            RATIO(d.di),
-            RATIO(d.d_f),
-            d.case_tag.value,
-        ]
-        for name, p, d in reports
-    ]
-    _emit_csv(
-        [
-            "model",
-            "macs",
-            "weights",
-            "activations",
-            "peak_concurrent",
-            "ai_c",
-            "weight_reuse",
-            "activation_reuse",
-            "a_over_w",
-            "alpha",
-            "di",
-            "d_f",
-            "case",
-        ],
-        rows,
-    )
+        p = batch_scale(aggregate(graph), batch)
+        d = derive_metrics(p, alpha=alpha, tau_low=tau_low, tau_high=tau_high)
+        # asdict adds macs, weights, activations and peak_concurrent; batch keeps its place
+        record = {"model": graph.name, "batch": batch, **dataclasses.asdict(p)}
+        record.update(ai_c=p.ai_c, weight_reuse=p.weight_reuse, activation_reuse=p.activation_reuse)
+        record.update(a_over_w=p.a_over_w, alpha=d.alpha, di=d.di, d_f=d.d_f, case=d.case_tag.value)
+        records.append(record)
+    columns = {
+        "model": TEXT, "macs": COUNT, "weights": COUNT, "activations": COUNT, "peak_concurrent": COUNT,
+        "ai_c": RATIO, "weight_reuse": RATIO, "activation_reuse": RATIO, "a_over_w": RATIO,
+        "alpha": RATIO, "di": RATIO, "d_f": RATIO, "case": TEXT,
+    }
+    _emit(fmt, records, columns, records)
 
 
 @main.command()
 @click.argument("model", type=click.Path())
-@click.option("--format", "fmt", default="csv", show_default=True, type=click.Choice(["csv", "json"]))
+@_format_option
 @_guarded
 def layers(model, fmt):
     """Per-layer cost table with an intensity summary trailer."""
@@ -185,95 +147,27 @@ def layers(model, fmt):
     ai_by_name = dict(stats.per_layer_ai)
     rows = []
     for spec in topo_order(graph):
-        cost = layer_cost(graph, spec)
-        rows.append((spec.name, spec.kind, cost.macs, cost.weights, cost.activations, ai_by_name.get(spec.name)))
-    if fmt == "json":
-        _emit_json(
-            {
-                "model": graph.name,
-                "layers": [
-                    {
-                        "name": name,
-                        "kind": kind,
-                        "macs": macs,
-                        "weights": weights,
-                        "activations": acts,
-                        "ai": ai,
-                    }
-                    for name, kind, macs, weights, acts, ai in rows
-                ],
-                "ai_median": stats.median,
-                "ai_variance": stats.variance,
-            }
-        )
-        return
-    table = [
-        [name, kind, _count(macs), _count(weights), _count(acts), "" if ai is None else RATIO(ai)]
-        for name, kind, macs, weights, acts, ai in rows
-    ]
-    table.append(["median", "", "", "", "", RATIO(stats.median)])
-    table.append(["variance", "", "", "", "", RATIO(stats.variance)])
-    _emit_csv(["name", "kind", "macs", "weights", "activations", "ai"], table)
+        cost = dataclasses.asdict(layer_cost(graph, spec))  # macs, weights, activations
+        rows.append({"name": spec.name, "kind": spec.kind, **cost, "ai": ai_by_name.get(spec.name)})
+    doc = {"model": graph.name, "layers": rows, "ai_median": stats.median, "ai_variance": stats.variance}
+    trailer = [{"name": "median", "ai": stats.median}, {"name": "variance", "ai": stats.variance}]
+    columns = {"name": TEXT, "kind": TEXT, "macs": COUNT, "weights": COUNT, "activations": COUNT, "ai": RATIO}
+    _emit(fmt, doc, columns, rows + trailer)
 
 
-def _load_profiles_csv(path: str) -> list[tuple[str, NetworkProfile, float | None]]:
-    """(model, profile, forward-pass macs) triples from a profiles CSV.
+def _measurements_by_model(path: str, device, batch, macs: dict) -> dict:
+    """model -> its measurement row for this device (any if None) and batch.
 
-    Two schemas are accepted. Count form needs macs, weights, and
-    activations columns (analyze output pipes in directly); the macs
-    column doubles as the forward-pass count. Ratio form needs
-    mc_over_w and mc_over_a columns; the profile is rebuilt from the
-    reuse pair, so its internal counts are scale-free and the
-    forward-pass count comes from an optional macs column if present.
+    A row without a MAC count takes the model's count from `macs`, if any.
     """
-    text = _read_text(path)
-    reader = csv.DictReader(io.StringIO(text))
-    fields = set(reader.fieldnames or [])
-    if "model" not in fields:
-        raise InputError(f"{path}: profile CSV needs a 'model' column")
-    count_form = {"macs", "weights", "activations"}.issubset(fields)
-    ratio_form = {"mc_over_w", "mc_over_a"}.issubset(fields)
-    if not count_form and not ratio_form:
-        raise InputError(
-            f"{path}: profile CSV needs either macs,weights,activations or mc_over_w,mc_over_a columns"
-        )
-    rows = []
-    seen = set()
-    for i, row in enumerate(reader, start=2):
-        model = (row["model"] or "").strip()
-        if not model:
-            raise InputError(f"{path}: row {i}: empty model name")
-        if model in seen:
-            raise InputError(f"{path}: row {i}: duplicate model {model!r}")
-        seen.add(model)
-        try:
-            if count_form:
-                macs = float(row["macs"])
-                profile = NetworkProfile(
-                    macs=macs,
-                    weights=float(row["weights"]),
-                    activations=float(row["activations"]),
+    by_model = {}
+    for rec in _parse_file(path, load_measurements):
+        if (device is None or rec.device == device) and rec.batch == batch:
+            if rec.model in by_model:
+                raise InputError(
+                    f"ambiguous measurements for model {rec.model!r} (multiple devices?); pass --device to disambiguate"
                 )
-            else:
-                profile = NetworkProfile.from_reuse(float(row["mc_over_w"]), float(row["mc_over_a"]))
-                macs = float(row["macs"]) if row.get("macs") else None
-        except (TypeError, ValueError):
-            raise InputError(f"{path}: row {i}: non-numeric value for {model!r}") from None
-        rows.append((model, profile, macs))
-    if not rows:
-        raise InputError(f"{path}: no profile rows")
-    return rows
-
-
-def _select_measurements(records, device, batch):
-    chosen = [r for r in records if (device is None or r.device == device) and r.batch == batch]
-    by_model: dict[str, MeasurementRecord] = {}
-    for rec in chosen:
-        if rec.model in by_model:
-            raise InputError(
-                f"ambiguous measurements for model {rec.model!r} (multiple devices?); pass --device to disambiguate"
-            )
-        by_model[rec.model] = rec
+            by_model[rec.model] = rec if rec.macs is not None else dataclasses.replace(rec, macs=macs.get(rec.model))
     return by_model
 
 
@@ -284,56 +178,26 @@ def _select_measurements(records, device, batch):
 @click.option("--batch", default=1, show_default=True, type=click.IntRange(min=1), help="Keep only this batch size's rows.")
 @click.option("--step", default=0.05, show_default=True, type=float, help="Alpha grid step.")
 @click.option("--epsilon", default=0.005, show_default=True, type=float, help="Plateau threshold on consecutive r_p gain.")
-@click.option("--format", "fmt", default="csv", show_default=True, type=click.Choice(["csv", "json"]))
+@_format_option
 @_guarded
 def calibrate(profiles_path, measurements_path, device, batch, step, epsilon, fmt):
     """Sweep alpha, correlating DI with measured efficiency; report the plateau."""
-    triples = _load_profiles_csv(profiles_path)
-    profiles = {model: (profile, macs) for model, profile, macs in triples}
-    records = load_measurements(_read_text(measurements_path))
-    by_model = _select_measurements(records, device, batch)
-    missing_meas = sorted(set(profiles) - set(by_model))
-    missing_prof = sorted(set(by_model) - set(profiles))
-    if missing_meas or missing_prof:
-        parts = []
-        if missing_meas:
-            parts.append("profiles without measurements: " + ", ".join(missing_meas))
-        if missing_prof:
-            parts.append("measurements without profiles: " + ", ".join(missing_prof))
+    profiles = _parse_file(profiles_path, load_profiles)
+    by_model = _measurements_by_model(measurements_path, device, batch, {m: macs for m, (_, macs) in profiles.items()})
+    unjoined = {
+        "profiles without measurements": sorted(set(profiles) - set(by_model)),
+        "measurements without profiles": sorted(set(by_model) - set(profiles)),
+    }
+    parts = [f"{what}: {', '.join(models)}" for what, models in unjoined.items() if models]
+    if parts:
         raise InputError("model keys do not join; " + "; ".join(parts))
     order = sorted(profiles)
-    series_profiles = [profiles[m][0] for m in order]
-    efficiencies = []
-    for m in order:
-        rec = by_model[m]
-        macs = rec.macs if rec.macs is not None else profiles[m][1]
-        if macs is None:
-            raise InputError(f"no MAC count for model {m!r} in either file; efficiency undefined")
-        rec = MeasurementRecord(
-            model=rec.model,
-            device=rec.device,
-            batch=rec.batch,
-            p_avg_w=rec.p_avg_w,
-            i_t_ms=rec.i_t_ms,
-            input_h=rec.input_h,
-            input_w=rec.input_w,
-            macs=macs,
-        )
-        efficiencies.append(energy_efficiency(rec))
-    curve = alpha_sweep(series_profiles, efficiencies, step=step, epsilon=epsilon)
-    if fmt == "json":
-        _emit_json(
-            {
-                "points": [{"alpha": p.alpha, "r_p": p.r_p, "r_s": p.r_s} for p in curve.points],
-                "selected_alpha": curve.selected_alpha,
-                "epsilon": epsilon,
-                "n": len(order),
-            }
-        )
-        return
-    rows = [[RATIO(p.alpha), RATIO(p.r_p), RATIO(p.r_s)] for p in curve.points]
-    rows.append(["selected_alpha", RATIO(curve.selected_alpha), ""])
-    _emit_csv(["alpha", "r_p", "r_s"], rows)
+    efficiencies = [energy_efficiency(by_model[m]) for m in order]
+    curve = alpha_sweep([profiles[m][0] for m in order], efficiencies, step=step, epsilon=epsilon)
+    points = [dataclasses.asdict(p) for p in curve.points]  # alpha, r_p, r_s
+    doc = {"points": points, "selected_alpha": curve.selected_alpha, "epsilon": epsilon, "n": len(order)}
+    trailer = {"alpha": "selected_alpha", "r_p": curve.selected_alpha}
+    _emit(fmt, doc, {"alpha": RATIO, "r_p": RATIO, "r_s": RATIO}, points + [trailer])
 
 
 @main.command()
@@ -348,93 +212,61 @@ def calibrate(profiles_path, measurements_path, device, batch, step, epsilon, fm
 @click.option("--measurements", "measurements_path", default=None, type=click.Path(), help="Attach measured throughput from this CSV.")
 @click.option("--device", default=None, help="Device filter for --measurements.")
 @click.option("--batch", default=1, show_default=True, type=click.IntRange(min=1), help="Batch filter for --measurements.")
-@click.option("--format", "fmt", default="csv", show_default=True, type=click.Choice(["csv", "json"]))
+@_format_option
 @_guarded
 def roofline(models, hw_path, profiles_path, metric, alpha, mode, bytes_per_element, flops_per_mac, measurements_path, device, batch, fmt):
     """Place model docs or profile rows on the hardware roofline."""
     if not models and profiles_path is None:
         raise InputError("nothing to place; pass model documents or --profiles")
-    hw = load_hardware_spec(_read_text(hw_path))
+    hw = _parse_file(hw_path, load_hardware_spec)
     entries = []
     for path in models:
         graph = _load_graph(path)
         profile = aggregate(graph)
         entries.append((graph.name, profile, profile.macs))
     if profiles_path is not None:
-        entries.extend(_load_profiles_csv(profiles_path))
-    labelled = []
-    macs_by_label = {}
-    for label, profile, macs in entries:
-        intensity = profile.ai_c if metric == "ai" else weighted_intensity(profile, alpha)
-        labelled.append((label, intensity))
-        macs_by_label[label] = macs
-    measured = None
+        profiles = _parse_file(profiles_path, load_profiles)
+        entries += [(model, profile, macs) for model, (profile, macs) in profiles.items()]
+    labelled = [(label, p.ai_c if metric == "ai" else weighted_intensity(p, alpha)) for label, p, _ in entries]
+    measured = {}
     if measurements_path is not None:
-        records = load_measurements(_read_text(measurements_path))
-        by_model = _select_measurements(records, device, batch)
         ops_per_mac = flops_per_mac if mode == "converted" else 1.0
-        measured = {}
-        for label, _ in labelled:
-            rec = by_model.get(label)
-            if rec is None:
-                continue
-            macs = rec.macs if rec.macs is not None else macs_by_label[label]
-            if macs is None:
-                continue
-            measured[label] = rec.batch * macs * ops_per_mac / (rec.i_t_ms / 1000.0)
+        # a label placed twice takes the MAC count of its last entry
+        by_model = _measurements_by_model(measurements_path, device, batch, {label: macs for label, _, macs in entries})
+        for label, rec in by_model.items():
+            if rec.macs is not None:
+                measured[label] = rec.batch * rec.macs * ops_per_mac / (rec.i_t_ms / 1000.0)
     chart = roofline_points(
-        hw,
-        labelled,
-        measured=measured,
-        mode=mode,
-        bytes_per_element=bytes_per_element,
-        flops_per_mac=flops_per_mac,
+        hw, labelled, measured=measured, mode=mode, bytes_per_element=bytes_per_element, flops_per_mac=flops_per_mac
     )
-    if fmt == "json":
-        _emit_json(
-            {
-                "hardware": hw.name,
-                "mode": mode,
-                "metric": metric,
-                "points": [
-                    {
-                        "label": p.label,
-                        "intensity": p.intensity,
-                        "attainable_ops": p.attainable,
-                        "bound": p.bound.value,
-                        "measured_ops": p.measured,
-                    }
-                    for p in chart.points
-                ],
-                "envelope": [{"intensity": x, "attainable_ops": y} for x, y in chart.envelope],
-            }
-        )
-        return
-    rows = [
-        [
-            "model",
-            p.label,
-            RATIO(p.intensity),
-            ENERGY(p.attainable),
-            p.bound.value,
-            "" if p.measured is None else ENERGY(p.measured),
-        ]
+    points = [
+        {
+            "label": p.label,
+            "intensity": p.intensity,
+            "attainable_ops": p.attainable,
+            "bound": p.bound.value,
+            "measured_ops": p.measured,
+        }
         for p in chart.points
     ]
-    rows += [["envelope", "", RATIO(x), ENERGY(y), "", ""] for x, y in chart.envelope]
-    _emit_csv(["row", "label", "intensity", "attainable_ops", "bound", "measured_ops"], rows)
+    envelope = [{"intensity": x, "attainable_ops": y} for x, y in chart.envelope]
+    doc = {"hardware": hw.name, "mode": mode, "metric": metric, "points": points, "envelope": envelope}
+    rows = [{"row": "model", **p} for p in points] + [{"row": "envelope", **e} for e in envelope]
+    columns = {
+        "row": TEXT, "label": TEXT, "intensity": RATIO, "attainable_ops": ENERGY, "bound": TEXT, "measured_ops": ENERGY,
+    }
+    _emit(fmt, doc, columns, rows)
 
 
 @main.command()
 @click.argument("table", type=click.Path())
 @click.option("--x", "x_col", required=True, help="Column name for the first variable.")
 @click.option("--y", "y_col", required=True, help="Column name for the second variable.")
-@click.option("--format", "fmt", default="csv", show_default=True, type=click.Choice(["csv", "json"]))
+@_format_option
 @_guarded
 def stats(table, x_col, y_col, fmt):
     """Correlations between two CSV columns, with Fisher confidence intervals."""
-    text = _read_text(table)
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(_read_text(table)))
     fields = reader.fieldnames or []
     for col in (x_col, y_col):
         if col not in fields:
@@ -442,40 +274,23 @@ def stats(table, x_col, y_col, fmt):
     xs, ys = [], []
     for i, row in enumerate(reader, start=2):
         try:
-            xs.append(float(row[x_col]))
-            ys.append(float(row[y_col]))
-        except (TypeError, ValueError):
-            raise InputError(f"{table}: row {i}: non-numeric value in {x_col!r} or {y_col!r}") from None
-    r_p = pearson(xs, ys)
-    r_s = spearman(xs, ys)
+            xs.append(finite(float(row[x_col]), x_col))
+            ys.append(finite(float(row[y_col]), y_col))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{table}: row {i}: bad value in {x_col!r} or {y_col!r}: {exc}") from None
     n = len(xs)
-    quantities = [("n", str(n)), ("r_p", RATIO(r_p)), ("r_s", RATIO(r_s))]
+    correlations = {"r_p": pearson(xs, ys), "r_s": spearman(xs, ys)}
     intervals = {}
-    for label, r in (("r_p", r_p), ("r_s", r_s)):
+    for label, r in correlations.items():
         for level in (0.95, 0.99):
-            key = f"{label}_ci{int(level * 100)}"
             # the Fisher transform diverges at |r| = 1; treat float-rounded
             # perfect correlation the same way instead of printing (1, 1)
-            if abs(r) < 1.0 - 1e-12 and n >= 4:
-                ci = fisher_ci(r, n, level)
-                intervals[key] = (ci.lower, ci.upper)
-                quantities.append((f"{key}_lower", RATIO(ci.lower)))
-                quantities.append((f"{key}_upper", RATIO(ci.upper)))
-            else:
-                intervals[key] = None
-                quantities.append((f"{key}_lower", ""))
-                quantities.append((f"{key}_upper", ""))
-    if fmt == "json":
-        _emit_json(
-            {
-                "n": n,
-                "r_p": r_p,
-                "r_s": r_s,
-                "intervals": {k: (None if v is None else {"lower": v[0], "upper": v[1]}) for k, v in intervals.items()},
-            }
-        )
-        return
-    _emit_csv(["quantity", "value"], [[q, v] for q, v in quantities])
+            ci = fisher_ci(r, n, level) if abs(r) < 1.0 - 1e-12 and n >= 4 else None
+            intervals[f"{label}_ci{int(level * 100)}"] = None if ci is None else {"lower": ci.lower, "upper": ci.upper}
+    rows = [{"quantity": "n", "value": str(n)}] + [{"quantity": q, "value": r} for q, r in correlations.items()]
+    for key, ci in intervals.items():
+        rows += [{"quantity": f"{key}_{end}", "value": None if ci is None else ci[end]} for end in ("lower", "upper")]
+    _emit(fmt, {"n": n, **correlations, "intervals": intervals}, {"quantity": TEXT, "value": RATIO}, rows)
 
 
 if __name__ == "__main__":

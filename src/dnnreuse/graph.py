@@ -53,6 +53,7 @@ class ShapeError(ModelError):
 
 
 LAYER_KINDS = ("input", "conv", "fc", "pool", "relu", "batchnorm", "add", "concat")
+IN_PLACE_KINDS = ("relu", "batchnorm")
 
 # Parameter schema per kind: {param: (required, default, minimum)}.
 _CONV_PARAMS = {
@@ -104,6 +105,20 @@ class LayerSpec:
     inputs: tuple[str, ...] = ()
     params: dict = field(default_factory=dict)
     in_place: bool = False
+
+    @property
+    def aliases_input(self) -> bool:
+        """True when the layer writes into its producer's storage, producing no tensor."""
+        return self.in_place and self.kind in IN_PLACE_KINDS
+
+    def check_groups(self, in_channels: int) -> int:
+        """Groups of this conv, after checking they divide both channel counts."""
+        n, g = self.params["out_channels"], self.params["groups"]
+        if g < 1 or in_channels % g or n % g:
+            raise ShapeError(
+                f"layer {self.name!r}: groups {g} must divide input channels {in_channels} and out_channels {n}"
+            )
+        return g
 
 
 @dataclass(frozen=True)
@@ -185,12 +200,12 @@ def _parse_layer(raw, position) -> LayerSpec:
 
     in_place = raw.get("in_place")
     if in_place is not None:
-        if kind not in ("relu", "batchnorm"):
+        if kind not in IN_PLACE_KINDS:
             raise ModelSyntaxError(f"layer {name!r}: in_place only applies to relu/batchnorm")
         if not isinstance(in_place, bool):
             raise ModelSyntaxError(f"layer {name!r}: in_place must be a boolean")
     else:
-        in_place = kind in ("relu", "batchnorm")
+        in_place = kind in IN_PLACE_KINDS
 
     return LayerSpec(name=name, kind=kind, inputs=tuple(inputs), params=params, in_place=in_place)
 
@@ -274,7 +289,7 @@ def serialize_model(graph: ModelGraph) -> str:
         if spec.inputs:
             entry["inputs"] = list(spec.inputs)
         entry.update(spec.params)
-        if spec.kind in ("relu", "batchnorm"):
+        if spec.kind in IN_PLACE_KINDS:
             entry["in_place"] = spec.in_place
         layers.append(entry)
     doc = {
@@ -339,12 +354,8 @@ def infer_shapes(graph: ModelGraph) -> ModelGraph:
         if spec.kind == "input":
             out = graph.input_shape
         elif spec.kind == "conv":
-            m, n, g = ins[0].channels, spec.params["out_channels"], spec.params["groups"]
-            if m % g or n % g:
-                raise ShapeError(
-                    f"layer {spec.name!r}: groups {g} must divide input channels {m} and out_channels {n}"
-                )
-            out = _conv_like_shape(spec, ins[0], n)
+            spec.check_groups(ins[0].channels)
+            out = _conv_like_shape(spec, ins[0], spec.params["out_channels"])
         elif spec.kind == "pool":
             out = _conv_like_shape(spec, ins[0], ins[0].channels)
         elif spec.kind == "fc":

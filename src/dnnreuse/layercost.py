@@ -44,10 +44,8 @@ def conv_cost(in_shape: TensorShape, spec: LayerSpec, out_shape: TensorShape) ->
     """Grouped-convolution cost; g=1 standard, kernel 1x1 pointwise, g=M=N depthwise."""
     m = in_shape.channels
     n = spec.params["out_channels"]
-    g = spec.params["groups"]
+    g = spec.check_groups(m)
     kh, kw = spec.params["kernel_h"], spec.params["kernel_w"]
-    if g < 1 or m % g or n % g:
-        raise InputError(f"groups {g} must divide input channels {m} and output channels {n}")
     if out_shape.channels != n:
         raise InputError(f"output shape carries {out_shape.channels} channels, conv produces {n}")
     kernel_volume = (m // g) * kh * kw
@@ -91,7 +89,7 @@ def layer_cost(graph: ModelGraph, spec: LayerSpec) -> LayerCost:
         return conv_cost(in_shapes[0], spec, out_shape)
     if spec.kind == "fc":
         return fc_cost(in_shapes[0].element_count(), spec.params["out_features"])
-    return nonconv_cost(spec.kind, in_shapes, out_shape, spec.in_place)
+    return nonconv_cost(spec.kind, in_shapes, out_shape, spec.aliases_input)
 
 
 def closed_form_ai(family: str, m: int, n: int, s_k: int, s_o: int, g: int = 1) -> dict:

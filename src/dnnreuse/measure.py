@@ -19,7 +19,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, finite
 
 MEASUREMENT_COLUMNS = ("model", "device", "batch", "p_avg_w", "i_t_ms", "input_h", "input_w", "macs")
 
@@ -49,9 +49,9 @@ class EnergyMetrics:
 
 def _parse_positive(value: str, column: str, row: int, cast):
     try:
-        parsed = cast(value)
-    except (TypeError, ValueError):
-        raise InputError(f"row {row}: column {column!r} is not numeric: {value!r}") from None
+        parsed = finite(cast(value), column)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"row {row}: column {column!r} is not a finite number: {exc}") from None
     if parsed <= 0:
         raise InputError(f"row {row}: column {column!r} must be positive, got {value!r}")
     return parsed
@@ -155,7 +155,7 @@ def epp(record: MeasurementRecord, per_frame: bool = False) -> float:
 def energy_efficiency(record: MeasurementRecord) -> float:
     """MACs per joule: batch * macs / (P_avg * I_t)."""
     if record.macs is None:
-        raise InputError(f"record {record.model!r} has no MAC count; supply one from a model document")
+        raise InputError(f"record {record.model!r} has no MAC count; efficiency undefined")
     return record.batch * record.macs / (record.p_avg_w * record.i_t_ms / 1000.0)
 
 

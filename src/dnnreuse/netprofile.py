@@ -9,14 +9,23 @@ a chain.
 Per-layer intensity (layerwise_ai_stats) divides a layer's MACs by its
 weights plus the tensor it produces; the layer owns its output, while
 its input was already paid for by the producer.
+
+Profiles CSVs (load_profiles) come in two schemas. Count form has
+macs, weights, and activations columns, so analyze output pipes in
+directly; the macs column doubles as the forward-pass count. Ratio
+form has mc_over_w and mc_over_a columns; the profile is rebuilt from
+the reuse pair, so its internal counts are scale-free, and the
+forward-pass count comes from an optional macs column.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import statistics
 from dataclasses import dataclass, replace
 
-from .errors import DegenerateDataError, InputError
+from .errors import DegenerateDataError, InputError, finite
 from .graph import ModelGraph, topo_order
 from .layercost import layer_cost
 
@@ -32,7 +41,7 @@ class NetworkProfile:
     batch: int = 1
 
     def __post_init__(self):
-        if self.macs < 0 or self.weights < 0 or self.activations < 0:
+        if min(finite(self.macs, "macs"), finite(self.weights, "weights"), finite(self.activations, "activations")) < 0:
             raise InputError("profile counts must be non-negative")
         if self.weights + self.activations <= 0:
             raise DegenerateDataError("network has no weights or activations")
@@ -76,6 +85,41 @@ class NetworkProfile:
         )
 
 
+def _number(row: dict, column: str) -> float:
+    return finite(float(row[column]), column)
+
+
+def load_profiles(text: str) -> dict[str, tuple[NetworkProfile, float | None]]:
+    """model -> (profile, forward-pass macs or None) from a profiles CSV, in file order."""
+    reader = csv.DictReader(io.StringIO(text))
+    fields = set(reader.fieldnames or [])
+    if "model" not in fields:
+        raise InputError("profile CSV needs a 'model' column")
+    count_form = {"macs", "weights", "activations"}.issubset(fields)
+    if not count_form and not {"mc_over_w", "mc_over_a"}.issubset(fields):
+        raise InputError("profile CSV needs either macs,weights,activations or mc_over_w,mc_over_a columns")
+    profiles = {}
+    for i, row in enumerate(reader, start=2):
+        model = (row["model"] or "").strip()
+        if not model:
+            raise InputError(f"row {i}: empty model name")
+        if model in profiles:
+            raise InputError(f"row {i}: duplicate model {model!r}")
+        try:
+            if count_form:
+                macs = _number(row, "macs")
+                profile = NetworkProfile(macs, _number(row, "weights"), _number(row, "activations"))
+            else:
+                profile = NetworkProfile.from_reuse(_number(row, "mc_over_w"), _number(row, "mc_over_a"))
+                macs = _number(row, "macs") if row.get("macs") else None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"row {i}: bad value for {model!r}: {exc}") from None
+        profiles[model] = (profile, macs)
+    if not profiles:
+        raise InputError("no profile rows")
+    return profiles
+
+
 @dataclass(frozen=True)
 class LayerStats:
     """Per-layer arithmetic intensities of MAC-bearing layers plus summary stats."""
@@ -99,7 +143,7 @@ def aggregate(graph: ModelGraph) -> NetworkProfile:
         # Count each produced tensor once. In-place layers reuse their
         # producer's storage; everything else, the input included,
         # contributes exactly its output elements.
-        if not (spec.in_place and spec.kind in ("relu", "batchnorm")):
+        if not spec.aliases_input:
             activations += graph.output_shape(spec.name).element_count()
     return NetworkProfile(
         macs=macs,
@@ -138,7 +182,7 @@ def peak_concurrent_activations(graph: ModelGraph) -> int:
     order = topo_order(graph)
     storage = {}
     for spec in order:
-        if spec.in_place and spec.kind in ("relu", "batchnorm"):
+        if spec.aliases_input:
             storage[spec.name] = storage[spec.inputs[0]]
         else:
             storage[spec.name] = spec.name

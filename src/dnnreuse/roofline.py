@@ -10,12 +10,12 @@ bytes_per_element so the comparison happens in flops per byte.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-import numpy as np
 import yaml
 
-from .errors import InputError
+from .errors import InputError, finite
 
 HARDWARE_KEYS = ("name", "peak_flops", "peak_bandwidth_bytes_per_s")
 
@@ -80,9 +80,7 @@ def load_hardware_spec(text: str) -> HardwareSpec:
         raise InputError("hardware name must be a non-empty string")
     values = {}
     for key in ("peak_flops", "peak_bandwidth_bytes_per_s"):
-        raw = doc[key]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise InputError(f"{key} must be a number, got {raw!r}")
+        raw = finite(doc[key], key)
         if raw <= 0:
             raise InputError(f"{key} must be positive, got {raw}")
         values[key] = float(raw)
@@ -113,7 +111,7 @@ def attainable_throughput(
 ) -> float:
     """min(peak, intensity * bandwidth) in the comparison space."""
     factor = _conversion(mode, bytes_per_element, flops_per_mac)
-    if intensity <= 0:
+    if finite(intensity, "intensity") <= 0:
         raise InputError(f"intensity must be positive, got {intensity}")
     return min(hw.peak_throughput, intensity * factor * hw.peak_bandwidth)
 
@@ -127,9 +125,16 @@ def classify(
 ) -> Bound:
     """Compute bound at or above the ridge intensity, memory bound below."""
     factor = _conversion(mode, bytes_per_element, flops_per_mac)
-    if intensity <= 0:
+    if finite(intensity, "intensity") <= 0:
         raise InputError(f"intensity must be positive, got {intensity}")
     return Bound.COMPUTE if intensity * factor >= hw.cmr else Bound.MEMORY
+
+
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """`num` samples evenly spaced in log10 from start to stop, both ends exact."""
+    lo, hi = math.log10(start), math.log10(stop)
+    step = (hi - lo) / (num - 1)
+    return [start] + [10.0 ** (i * step + lo) for i in range(1, num - 1)] + [stop]
 
 
 def roofline_points(
@@ -167,8 +172,8 @@ def roofline_points(
     knee = hw.cmr / factor
     lo = min(min(p.intensity for p in placed), knee) / 10.0
     hi = max(max(p.intensity for p in placed), knee) * 10.0
-    slope = np.geomspace(lo, knee, envelope_points)
-    roof = np.geomspace(knee, hi, envelope_points)
-    envelope = [(float(x), float(min(hw.peak_throughput, x * factor * hw.peak_bandwidth))) for x in slope]
-    envelope += [(float(x), hw.peak_throughput) for x in roof]
+    slope = _geomspace(lo, knee, envelope_points)
+    roof = _geomspace(knee, hi, envelope_points)
+    envelope = [(x, min(hw.peak_throughput, x * factor * hw.peak_bandwidth)) for x in slope]
+    envelope += [(x, hw.peak_throughput) for x in roof]
     return RooflineChart(hardware=hw, mode=mode, points=tuple(placed), envelope=tuple(envelope))

@@ -7,13 +7,8 @@ reported intervals are stable to the last printed digit.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateDataError, InputError
 from .metrics import weighted_intensity
@@ -56,11 +51,17 @@ class ConfidenceInterval:
         return self.upper - self.lower
 
 
+def _floats(values) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise InputError("correlation needs flat sequences of numbers") from None
+
+
 def _validate_pair(xs, ys):
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise InputError(f"paired series must have equal length, got {xs.shape} and {ys.shape}")
+    xs, ys = _floats(xs), _floats(ys)
+    if len(xs) != len(ys):
+        raise InputError(f"paired series must have equal length, got {len(xs)} and {len(ys)}")
     if len(xs) < 3:
         raise InputError("correlation needs at least 3 points")
     return xs, ys
@@ -105,10 +106,27 @@ def pearson(xs, ys) -> float:
     return max(-1.0, min(1.0, r))
 
 
+def _average_ranks(values) -> list[float]:
+    """1-based ranks; each run of ties shares its mean rank, an exact half-integer."""
+    if any(map(math.isnan, values)):
+        raise DegenerateDataError("ranks undefined on NaN values")
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start
+        while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
+            end += 1
+        for i in order[start : end + 1]:
+            ranks[i] = (start + end) / 2 + 1
+        start = end + 1
+    return ranks
+
+
 def spearman(xs, ys) -> float:
     """Rank correlation: pearson over average ranks, ties get their mean rank."""
     xs, ys = _validate_pair(xs, ys)
-    return pearson(rankdata(xs), rankdata(ys))
+    return pearson(_average_ranks(xs), _average_ranks(ys))
 
 
 def alpha_grid(step: float = 0.05) -> list[float]:
@@ -124,15 +142,19 @@ def alpha_grid(step: float = 0.05) -> list[float]:
 def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.005) -> CalibrationCurve:
     """Correlate DI(alpha) against efficiency over the grid; pick the plateau."""
     profiles = list(profiles)
-    efficiencies = list(efficiencies)
+    efficiencies = _floats(efficiencies)
     if len(profiles) != len(efficiencies):
         raise InputError("profiles and efficiencies must be matched lists")
     if len(profiles) < 3:
         raise InputError("calibration needs at least 3 networks")
+    # spearman at every alpha would rank this fixed series again each time
+    efficiency_ranks = _average_ranks(efficiencies)
     points = []
     for alpha in alpha_grid(step):
         dis = [weighted_intensity(p, alpha) for p in profiles]
-        points.append(CalibrationPoint(alpha=alpha, r_p=pearson(dis, efficiencies), r_s=spearman(dis, efficiencies)))
+        r_p = pearson(dis, efficiencies)
+        r_s = pearson(_average_ranks(dis), efficiency_ranks)
+        points.append(CalibrationPoint(alpha=alpha, r_p=r_p, r_s=r_s))
     curve = CalibrationCurve(
         points=tuple(points),
         selected_alpha=math.nan,
@@ -205,14 +227,3 @@ def min_sample_size(level: float = 0.95, max_z_width: float = 1.0) -> int:
     while fisher_z_width(n, level) > max_z_width:
         n += 1
     return n
-
-
-def calibration_report(curve: CalibrationCurve) -> str:
-    """CSV rows `alpha,r_p,r_s` plus a trailer carrying the selected alpha."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["alpha", "r_p", "r_s"])
-    for p in curve.points:
-        writer.writerow([f"{p.alpha:.2f}", f"{p.r_p:.4f}", f"{p.r_s:.4f}"])
-    writer.writerow(["selected_alpha", f"{curve.selected_alpha:.2f}", ""])
-    return out.getvalue()

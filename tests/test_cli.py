@@ -86,6 +86,13 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "/nonexistent/x.yaml"])
         assert result.exit_code == 2
 
+    def test_undecodable_file_exits_2(self, runner, tmp_path):
+        path = tmp_path / "binary.yaml"
+        path.write_bytes(b"\xff\xfe\x00")
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 2
+        assert "utf-8" in result.stderr
+
     def test_deterministic_output(self, runner, model_dir):
         args = ["analyze", str(model_dir / "vgg-16.yaml"), str(model_dir / "nin.yaml")]
         assert run_ok(runner, args) == run_ok(runner, args)
@@ -294,3 +301,42 @@ class TestStats:
         path.write_text("a,b\n1,1\n1,2\n1,3\n")
         result = runner.invoke(main, ["stats", str(path), "--x", "a", "--y", "b"])
         assert result.exit_code == 3
+
+
+class TestNonFiniteInputs:
+    """NaN and inf pass every `x <= 0` guard; each case here used to print a number."""
+
+    def fails_with_exit_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.stderr
+
+    def test_measurement_row_with_nan_power_and_inf_macs(self, runner, tmp_path):
+        profiles = tmp_path / "p.csv"
+        profiles.write_text("model,macs,weights,activations\nx,100,4,6\ny,200,5,5\nz,300,6,9\n")
+        measurements = tmp_path / "m.csv"
+        measurements.write_text(
+            "model,device,batch,p_avg_w,i_t_ms,input_h,input_w,macs\n"
+            "x,P100,1,nan,2.0,224,224,inf\ny,P100,1,30,2.0,224,224,\nz,P100,1,40,2.5,224,224,\n"
+        )
+        self.fails_with_exit_2(runner, ["calibrate", "--profiles", str(profiles), "--measurements", str(measurements)])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["model,mc_over_w,mc_over_a\nx,nan,10\ny,5,10\n", "model,macs,weights,activations\nx,inf,1,1\n"],
+    )
+    def test_profile_rows(self, runner, tmp_path, hardware_dir, text):
+        profiles = tmp_path / "p.csv"
+        profiles.write_text(text)
+        hw = str(hardware_dir / "p100.yaml")
+        self.fails_with_exit_2(runner, ["roofline", "--hw", hw, "--profiles", str(profiles)])
+
+    def test_hardware_peak(self, runner, tmp_path, model_dir):
+        hw = tmp_path / "hw.yaml"
+        hw.write_text("name: x\npeak_flops: .nan\npeak_bandwidth_bytes_per_s: 1.0e11\n")
+        self.fails_with_exit_2(runner, ["roofline", "--hw", str(hw), str(model_dir / "nin.yaml")])
+
+    def test_stats_cell(self, runner, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,1\nnan,2\n3,4\n4,3\n")
+        self.fails_with_exit_2(runner, ["stats", str(path), "--x", "a", "--y", "b"])

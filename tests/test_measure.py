@@ -30,6 +30,13 @@ class TestLoadMeasurements:
         (r,) = load_measurements(HEADER + "tiny,gpu0,1,10,5,8,8,1000000\n")
         assert r.macs == 1e6
 
+    @pytest.mark.parametrize(
+        "row", ["x,P100,1,nan,2.0,224,224,inf", "x,P100,1,1.0,inf,224,224,", "x,P100,1,1.0,2.0,224,224,-inf"]
+    )
+    def test_non_finite_values_rejected(self, row):
+        with pytest.raises(InputError, match="finite"):
+            load_measurements(HEADER + row + "\n")
+
     def test_non_positive_power_rejected(self):
         with pytest.raises(InputError, match="p_avg_w"):
             load_measurements(HEADER + "m,d,1,0,5,8,8,\n")

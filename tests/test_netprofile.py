@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from dnnreuse.netprofile import (
     aggregate,
     batch_scale,
     layerwise_ai_stats,
+    load_profiles,
     peak_concurrent_activations,
 )
 
@@ -78,6 +81,40 @@ class TestFromReuse:
     def test_rejects_non_positive(self):
         with pytest.raises(InputError):
             NetworkProfile.from_reuse(0.0, 1.0)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            NetworkProfile.from_reuse(bad, 10.0)
+        with pytest.raises(InputError, match="finite"):
+            NetworkProfile(macs=bad, weights=1.0, activations=1.0)
+
+
+class TestLoadProfiles:
+    def test_count_and_ratio_forms(self):
+        counts = load_profiles("model,macs,weights,activations\na,100,4,6\n")
+        assert counts == {"a": (NetworkProfile(100.0, 4.0, 6.0), 100.0)}
+        ratios = load_profiles("model,mc_over_w,mc_over_a,macs\nb,5,10,\nc,2,4,8\n")
+        assert ratios["b"] == (NetworkProfile.from_reuse(5.0, 10.0), None)
+        assert ratios["c"][1] == 8.0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "model,mc_over_w,mc_over_a\nx,nan,10\ny,5,10\n",
+            "model,macs,weights,activations\nx,inf,1,1\n",
+            "model,mc_over_w,mc_over_a,macs\nx,5,10,inf\n",
+            "model,macs,weights,activations\nx,ten,1,1\n",
+        ],
+    )
+    def test_non_numeric_or_non_finite_cells_rejected(self, text):
+        with pytest.raises(InputError, match="row 2"):
+            load_profiles(text)
+
+    def test_duplicate_model_rejected(self):
+        with pytest.raises(InputError, match="duplicate"):
+            load_profiles("model,mc_over_w,mc_over_a\nx,5,10\nx,6,10\n")
 
 
 class TestPeakConcurrent:

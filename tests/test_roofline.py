@@ -50,6 +50,11 @@ class TestHardwareSpec:
                 "name: x\npeak_flops: 1.0e12\npeak_bandwidth_bytes_per_s: 1.0e11\ncmr: 10\n"
             )
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "1" + "0" * 400])
+    def test_load_rejects_non_finite_peaks(self, value):
+        with pytest.raises(InputError, match="finite"):
+            load_hardware_spec(f"name: x\npeak_flops: {value}\npeak_bandwidth_bytes_per_s: 1.0e11\n")
+
     def test_load_rejects_bad_values(self):
         with pytest.raises(InputError):
             load_hardware_spec("name: x\npeak_flops: -1\npeak_bandwidth_bytes_per_s: 1.0e11\n")

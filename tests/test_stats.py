@@ -6,11 +6,11 @@ from hypothesis import example, given, strategies as st
 from dnnreuse.errors import DegenerateDataError, InputError
 from dnnreuse.netprofile import NetworkProfile
 from dnnreuse.stats import (
+    _average_ranks,
     CalibrationCurve,
     CalibrationPoint,
     alpha_grid,
     alpha_sweep,
-    calibration_report,
     fisher_ci,
     fisher_z_width,
     min_sample_size,
@@ -58,6 +58,11 @@ class TestPearson:
         with pytest.raises(InputError):
             pearson([1, 2], [3, 4])
 
+    @pytest.mark.parametrize("xs", [[[1, 2], [3], [4]], [1, "x", 3], [1, None, 3]])
+    def test_ragged_or_non_numeric_rejected(self, xs):
+        with pytest.raises(InputError):
+            pearson(xs, [1, 2, 3])
+
     @given(
         st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=20),
         st.floats(min_value=0.1, max_value=50),
@@ -91,6 +96,15 @@ class TestSpearman:
         ys = [10, 20, 30, 40]
         # tied pair takes rank 2.5 each
         assert spearman(xs, ys) == pytest.approx(pearson([1, 2.5, 2.5, 4], [1, 2, 3, 4]), abs=1e-12)
+
+    def test_runs_of_ties_share_their_mean_rank(self):
+        # ranks 1-2 tie at 1.5, ranks 3-5 tie at 4, rank 6 stands alone
+        assert _average_ranks([7, 2, 7, 2, 9, 7]) == [4.0, 1.5, 4.0, 1.5, 6.0, 4.0]
+        assert _average_ranks([5.0, 5.0, 5.0]) == [2.0, 2.0, 2.0]
+
+    def test_nan_is_degenerate(self):
+        with pytest.raises(DegenerateDataError):
+            spearman([1, math.nan, 3], [1, 2, 4])
 
     def test_monotone_transform_invariance(self):
         xs = [0.3, 5.0, 1.2, 9.4, 2.2]
@@ -168,17 +182,6 @@ class TestAlphaSweep:
     def test_too_few_networks_rejected(self):
         with pytest.raises(InputError):
             alpha_sweep(self.profiles()[:2], self.efficiencies()[:2])
-
-    def test_report_round_trips_the_points(self):
-        curve = alpha_sweep(self.profiles(), self.efficiencies(), step=0.2)
-        text = calibration_report(curve)
-        lines = text.strip().splitlines()
-        assert lines[0] == "alpha,r_p,r_s"
-        assert len(lines) == 1 + len(curve.points) + 1
-        assert lines[-1].startswith("selected_alpha,0.60")
-        mid = lines[1 + 3].split(",")
-        assert mid[0] == "0.60"
-        assert float(mid[1]) == pytest.approx(1.0, abs=5e-5)
 
 
 class TestFisherCI:
