@@ -25,7 +25,7 @@ import sys
 import click
 
 from .errors import DegenerateDataError, InputError, finite
-from .graph import infer_shapes, parse_model, topo_order
+from .graph import infer_shapes, parse_model
 from .layercost import layer_cost
 from .measure import energy_efficiency, load_measurements
 from .metrics import DEFAULT_ALPHA, TAU_HIGH, TAU_LOW, derive_metrics, weighted_intensity
@@ -146,7 +146,7 @@ def layers(model, fmt):
     stats = layerwise_ai_stats(graph)
     ai_by_name = dict(stats.per_layer_ai)
     rows = []
-    for spec in topo_order(graph):
+    for spec in graph.layers:
         cost = dataclasses.asdict(layer_cost(graph, spec))  # macs, weights, activations
         rows.append({"name": spec.name, "kind": spec.kind, **cost, "ai": ai_by_name.get(spec.name)})
     doc = {"model": graph.name, "layers": rows, "ai_median": stats.median, "ai_variance": stats.variance}

@@ -123,8 +123,11 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ModelGraph:
-    """Ordered layers plus the network input shape.
+    """Layers in execution order plus the network input shape.
 
+    `layers` is the execution order: the constructor sorts the layers it
+    is given so that producers precede consumers, ties kept in the given
+    order, and raises CycleError on a cycle. Every pass walks `layers`.
     `shapes` maps layer name to output TensorShape and is empty until
     infer_shapes() has run.
     """
@@ -133,6 +136,9 @@ class ModelGraph:
     input_shape: TensorShape
     layers: tuple[LayerSpec, ...]
     shapes: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(topo_order(self)))
 
     def layer(self, name: str) -> LayerSpec:
         for spec in self.layers:
@@ -272,13 +278,11 @@ def parse_model(text: str, name: str | None = None) -> ModelGraph:
             if ref not in seen:
                 raise DanglingInputError(f"layer {spec.name!r}: input {ref!r} does not exist")
 
-    graph = ModelGraph(
+    return ModelGraph(
         name=doc.get("name") or name or "model",
         input_shape=input_shape,
         layers=layers,
     )
-    topo_order(graph)  # raises CycleError on cyclic documents
-    return graph
 
 
 def serialize_model(graph: ModelGraph) -> str:
@@ -310,26 +314,26 @@ def topo_order(graph: ModelGraph) -> list[LayerSpec]:
     Ties are broken by declaration order, which keeps every report and
     golden file deterministic.
     """
-    position = {spec.name: i for i, spec in enumerate(graph.layers)}
-    indegree = {spec.name: len(spec.inputs) for spec in graph.layers}
-    consumers: dict[str, list[str]] = {spec.name: [] for spec in graph.layers}
-    for spec in graph.layers:
+    layers = graph.layers
+    position = {spec.name: i for i, spec in enumerate(layers)}
+    indegree = [len(spec.inputs) for spec in layers]
+    consumers: list[list[int]] = [[] for _ in layers]
+    for i, spec in enumerate(layers):
         for ref in spec.inputs:
-            consumers[ref].append(spec.name)
+            consumers[position[ref]].append(i)
 
-    ready = [(position[n], n) for n, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
+    ready = [i for i, d in enumerate(indegree) if d == 0]  # ascending, so already a heap
     ordered = []
     while ready:
-        _, name = heapq.heappop(ready)
-        ordered.append(graph.layer(name))
-        for consumer in consumers[name]:
+        i = heapq.heappop(ready)
+        ordered.append(layers[i])
+        for consumer in consumers[i]:
             indegree[consumer] -= 1
             if indegree[consumer] == 0:
-                heapq.heappush(ready, (position[consumer], consumer))
+                heapq.heappush(ready, consumer)
 
-    if len(ordered) != len(graph.layers):
-        stuck = sorted(n for n, d in indegree.items() if d > 0)
+    if len(ordered) != len(layers):
+        stuck = sorted(spec.name for spec, d in zip(layers, indegree) if d > 0)
         raise CycleError(f"cycle detected involving layers: {', '.join(stuck)}")
     return ordered
 
@@ -349,7 +353,7 @@ def _conv_like_shape(spec: LayerSpec, in_shape: TensorShape, channels: int) -> T
 def infer_shapes(graph: ModelGraph) -> ModelGraph:
     """Annotate every layer with its output shape; returns a new graph."""
     shapes: dict[str, TensorShape] = {}
-    for spec in topo_order(graph):
+    for spec in graph.layers:
         ins = [shapes[ref] for ref in spec.inputs]
         if spec.kind == "input":
             out = graph.input_shape

@@ -24,9 +24,10 @@ import csv
 import io
 import statistics
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .errors import DegenerateDataError, InputError, finite
-from .graph import ModelGraph, topo_order
+from .graph import ModelGraph
 from .layercost import layer_cost
 
 
@@ -136,7 +137,7 @@ def aggregate(graph: ModelGraph) -> NetworkProfile:
     macs = 0
     weights = 0
     activations = 0
-    for spec in topo_order(graph):
+    for spec in graph.layers:
         cost = layer_cost(graph, spec)
         macs += cost.macs
         weights += cost.weights
@@ -156,7 +157,7 @@ def aggregate(graph: ModelGraph) -> NetworkProfile:
 def layerwise_ai_stats(graph: ModelGraph) -> LayerStats:
     """Intensity per conv/fc layer, with median and population variance."""
     per_layer = []
-    for spec in topo_order(graph):
+    for spec in graph.layers:
         if spec.kind not in ("conv", "fc"):
             continue
         cost = layer_cost(graph, spec)
@@ -179,32 +180,21 @@ def peak_concurrent_activations(graph: ModelGraph) -> int:
     that consumes it; in-place layers alias their input storage instead
     of producing a new tensor.
     """
-    order = topo_order(graph)
-    storage = {}
-    for spec in order:
-        if spec.aliases_input:
-            storage[spec.name] = storage[spec.inputs[0]]
-        else:
-            storage[spec.name] = spec.name
+    root = {}
+    last_use = {}
+    for step, spec in enumerate(graph.layers):
+        root[spec.name] = root[spec.inputs[0]] if spec.aliases_input else spec.name
+        for name in (spec.name, *spec.inputs):
+            last_use[root[name]] = step
 
-    born = {}
-    dies = {}
-    for step, spec in enumerate(order):
-        root = storage[spec.name]
-        born.setdefault(root, step)
-        dies[root] = step
-        for ref in spec.inputs:
-            dies[storage[ref]] = step
-
-    peak = 0
-    for step in range(len(order)):
-        live = sum(
-            graph.output_shape(root).element_count()
-            for root in born
-            if born[root] <= step <= dies[root]
-        )
-        peak = max(peak, live)
-    return peak
+    # each tensor enters the running sum at its step and leaves one step after its last use
+    delta = [0] * (len(graph.layers) + 1)
+    for step, spec in enumerate(graph.layers):
+        if not spec.aliases_input:
+            size = graph.output_shape(spec.name).element_count()
+            delta[step] += size
+            delta[last_use[spec.name] + 1] -= size
+    return max(accumulate(delta))
 
 
 def batch_scale(profile: NetworkProfile, b: int) -> NetworkProfile:

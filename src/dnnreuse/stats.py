@@ -97,19 +97,22 @@ def _co_moment(dx, dy) -> float:
     return math.fsum(a * b for a, b in zip(dx, dy)) - math.fsum(dx) * math.fsum(dy) / len(dx)
 
 
-def pearson(xs, ys) -> float:
-    """Product-moment correlation coefficient, independent of input scale."""
-    xs, ys = _validate_pair(xs, ys)
-    dx = _unit_deviations(xs)
-    dy = _unit_deviations(ys)
+def _correlation(dx, dy) -> float:
+    """Pearson's r from the _unit_deviations of two series."""
     r = _co_moment(dx, dy) / math.sqrt(_co_moment(dx, dx) * _co_moment(dy, dy))
     return max(-1.0, min(1.0, r))
 
 
+def pearson(xs, ys) -> float:
+    """Product-moment correlation coefficient, independent of input scale."""
+    xs, ys = _validate_pair(xs, ys)
+    return _correlation(_unit_deviations(xs), _unit_deviations(ys))
+
+
 def _average_ranks(values) -> list[float]:
     """1-based ranks; each run of ties shares its mean rank, an exact half-integer."""
-    if any(map(math.isnan, values)):
-        raise DegenerateDataError("ranks undefined on NaN values")
+    if not all(map(math.isfinite, values)):
+        raise DegenerateDataError("ranks undefined on non-finite values")
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     start = 0
@@ -147,13 +150,14 @@ def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.0
         raise InputError("profiles and efficiencies must be matched lists")
     if len(profiles) < 3:
         raise InputError("calibration needs at least 3 networks")
-    # spearman at every alpha would rank this fixed series again each time
-    efficiency_ranks = _average_ranks(efficiencies)
+    # the efficiency series is fixed, so it is standardised and ranked once, not at every alpha
+    efficiency_dev = _unit_deviations(efficiencies)
+    rank_dev = _unit_deviations(_average_ranks(efficiencies))
     points = []
     for alpha in alpha_grid(step):
         dis = [weighted_intensity(p, alpha) for p in profiles]
-        r_p = pearson(dis, efficiencies)
-        r_s = pearson(_average_ranks(dis), efficiency_ranks)
+        r_p = _correlation(_unit_deviations(dis), efficiency_dev)
+        r_s = _correlation(_unit_deviations(_average_ranks(dis)), rank_dev)
         points.append(CalibrationPoint(alpha=alpha, r_p=r_p, r_s=r_s))
     curve = CalibrationCurve(
         points=tuple(points),

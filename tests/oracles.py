@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from dnnreuse.graph import ModelGraph, topo_order
+from dnnreuse.graph import ModelGraph
 
 
 def brute_force_conv(m, n, kh, kw, ih, iw, oh, ow, g):
@@ -34,17 +34,25 @@ def brute_force_conv(m, n, kh, kw, ih, iw, oh, ow, g):
 def brute_force_peak_activations(graph: ModelGraph) -> int:
     """Max live data over execution steps, by exhaustive per-step scanning.
 
-    For every step, walks the whole schedule to decide which tensors are
-    still needed. In-place layers write into their producer's tensor, so
-    a chain of aliases is collapsed to the original storage.
+    The schedule repeatedly takes the first listed layer not yet placed
+    whose inputs are all placed. For every step, walks the whole
+    schedule to decide which tensors are still needed. In-place layers
+    write into their producer's tensor, so a chain of aliases is
+    collapsed to the original storage.
     """
-    order = topo_order(graph)
+    spec_of = {spec.name: spec for spec in graph.layers}
+    order = []
+    placed = set()
+    while len(order) < len(spec_of):
+        spec = next(s for s in graph.layers if s.name not in placed and placed.issuperset(s.inputs))
+        order.append(spec)
+        placed.add(spec.name)
     step_of = {spec.name: i for i, spec in enumerate(order)}
 
     def storage(name):
-        spec = graph.layer(name)
+        spec = spec_of[name]
         while spec.kind in ("relu", "batchnorm") and spec.in_place:
-            spec = graph.layer(spec.inputs[0])
+            spec = spec_of[spec.inputs[0]]
         return spec.name
 
     peak = 0

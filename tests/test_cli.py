@@ -134,6 +134,26 @@ class TestLayers:
         assert result.exit_code == 3
         assert "no MAC-bearing layers" in result.output
 
+    def test_declaration_order_does_not_change_reports(self, runner, tmp_path):
+        header = "name: branchy\ninput: {channels: 3, h: 8, w: 8}\nlayers:\n"
+        execution_order = [
+            "  - {name: data, kind: input}\n",
+            "  - {name: a, kind: conv, inputs: [data], out_channels: 4, kernel_h: 1, kernel_w: 1}\n",
+            "  - {name: b, kind: conv, inputs: [data], out_channels: 6, kernel_h: 3, kernel_w: 3, pad_h: 1, pad_w: 1}\n",
+            "  - {name: r, kind: relu, inputs: [b], in_place: false}\n",
+            "  - {name: cat, kind: concat, inputs: [a, r]}\n",
+            "  - {name: fc, kind: fc, inputs: [cat], out_features: 10}\n",
+        ]
+        in_order = tmp_path / "in_order.yaml"
+        in_order.write_text(header + "".join(execution_order))
+        # fc and cat are listed before their producers
+        shuffled = tmp_path / "shuffled.yaml"
+        shuffled.write_text(header + "".join(execution_order[:3:-1] + execution_order[:4]))
+        for command in ("analyze", "layers"):
+            for fmt in ("csv", "json"):
+                expected = run_ok(runner, [command, str(in_order), "--format", fmt])
+                assert run_ok(runner, [command, str(shuffled), "--format", fmt]) == expected
+
 
 class TestCalibrate:
     def test_bundled_curve_shape(self, runner, fixture_dir):

@@ -226,22 +226,25 @@ layers:
 
 @st.composite
 def random_dags(draw):
-    """Graphs of up to 50 shape-preserving layers with random valid edges."""
+    """Graphs of up to 50 shape-preserving layers with random valid edges, declared in any order."""
     n = draw(st.integers(min_value=1, max_value=49))
     layers = [LayerSpec(name="n0", kind="input")]
     for i in range(1, n + 1):
         upstream = draw(st.lists(st.integers(min_value=0, max_value=i - 1), min_size=1, max_size=min(i, 3), unique=True))
+        inputs = tuple(f"n{j}" for j in upstream)
         if len(upstream) >= 2:
-            kind, inputs = "add", upstream
+            layers.append(LayerSpec(name=f"n{i}", kind="add", inputs=inputs))
         else:
-            kind, inputs = draw(st.sampled_from(["relu", "batchnorm"])), upstream
-        layers.append(LayerSpec(name=f"n{i}", kind=kind, inputs=tuple(f"n{j}" for j in inputs)))
-    return ModelGraph(name="random", input_shape=TensorShape(1, 4, 4), layers=tuple(layers))
+            kind = draw(st.sampled_from(["relu", "batchnorm"]))
+            layers.append(LayerSpec(name=f"n{i}", kind=kind, inputs=inputs, in_place=draw(st.booleans())))
+    declared = draw(st.permutations(layers))
+    return ModelGraph(name="random", input_shape=TensorShape(1, 4, 4), layers=tuple(declared))
 
 
 @given(random_dags())
 def test_topo_order_respects_every_edge(graph):
     order = topo_order(graph)
+    assert order == list(graph.layers)
     assert sorted(l.name for l in order) == sorted(l.name for l in graph.layers)
     index = {l.name: i for i, l in enumerate(order)}
     for spec in graph.layers:

@@ -20,6 +20,7 @@ from dnnreuse.netprofile import (
 )
 
 from oracles import brute_force_peak_activations
+from test_graph import random_dags
 
 
 def load(text):
@@ -178,6 +179,12 @@ layers:
         assert peak_concurrent_activations(copied) == brute_force_peak_activations(copied)
         assert peak_concurrent_activations(copied) == 2048
         assert peak_concurrent_activations(aliased) == 1040
+
+    @settings(deadline=None)
+    @given(random_dags())
+    def test_matches_exhaustive_oracle_on_random_dags(self, graph):
+        g = infer_shapes(graph)
+        assert peak_concurrent_activations(g) == brute_force_peak_activations(g)
 
     def test_peak_never_exceeds_total_activations(self):
         for text in (TWO_LAYER, TWO_LAYER.replace("in_place: true", "in_place: false")):

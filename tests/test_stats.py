@@ -102,9 +102,14 @@ class TestSpearman:
         assert _average_ranks([7, 2, 7, 2, 9, 7]) == [4.0, 1.5, 4.0, 1.5, 6.0, 4.0]
         assert _average_ranks([5.0, 5.0, 5.0]) == [2.0, 2.0, 2.0]
 
-    def test_nan_is_degenerate(self):
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([1, math.nan, 3], [1, 2, 4]), ([1, math.inf, 3, 4], [1, 2, 3, 5]), ([1, 2, 3, 4], [-math.inf, 2, 3, 5])],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_is_degenerate(self, xs, ys):
         with pytest.raises(DegenerateDataError):
-            spearman([1, math.nan, 3], [1, 2, 4])
+            spearman(xs, ys)
 
     def test_monotone_transform_invariance(self):
         xs = [0.3, 5.0, 1.2, 9.4, 2.2]
