@@ -47,11 +47,18 @@ def COUNT(value) -> str:
 
 
 def _guarded(func):
-    """Map the library's error taxonomy onto the exit-code contract."""
+    """Map the library's error taxonomy onto the exit-code contract.
+
+    Every float option is checked for NaN and +-inf first, so none
+    reaches a range check that NaN would pass.
+    """
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
+            for name, value in kwargs.items():
+                if isinstance(value, float):
+                    finite(value, "--" + name.replace("_", "-"))
             return func(*args, **kwargs)
         except (DegenerateDataError, InputError, OSError, UnicodeDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
@@ -231,7 +238,6 @@ def roofline(models, hw_path, profiles_path, metric, alpha, mode, bytes_per_elem
     measured = {}
     if measurements_path is not None:
         ops_per_mac = flops_per_mac if mode == "converted" else 1.0
-        # a label placed twice takes the MAC count of its last entry
         by_model = _measurements_by_model(measurements_path, device, batch, {label: macs for label, _, macs in entries})
         for label, rec in by_model.items():
             if rec.macs is not None:

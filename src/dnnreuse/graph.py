@@ -12,6 +12,13 @@ A model document is YAML (JSON works too) with the shape
 
 Exactly one layer has kind "input"; its shape comes from the top-level
 `input` mapping. Edges are implied by each layer's `inputs` list.
+
+dnnreuse.document loads the text: a document starting with `{` is read
+by json.loads, falling back to YAML if it is not JSON, and YAML is read
+by libyaml when PyYAML has it. The one number form the two read
+differently is an unquoted exponent without a dot: `1e3` is 1000.0 in
+JSON and the string '1e3' in YAML. Every integer field refuses both, so
+the form matters only as a name, which must be a string in JSON.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
+from .document import load_document
 from .errors import InputError
 
 
@@ -235,16 +243,7 @@ def parse_model(text: str, name: str | None = None) -> ModelGraph:
     The optional `name` is a fallback used when the document carries no
     top-level name (the CLI passes the file stem).
     """
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
-        where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "unknown position"
-        raise ModelSyntaxError(f"syntax error at {where}: {exc.problem or exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ModelSyntaxError(f"syntax error: {exc}") from exc
-
-    doc = _expect_mapping(doc, "model document")
+    doc = _expect_mapping(load_document(text, ModelSyntaxError), "model document")
     extra = set(doc) - {"name", "input", "layers"}
     if extra:
         raise ModelSyntaxError(f"unknown top-level fields: {sorted(extra)}")

@@ -13,8 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import yaml
-
+from .document import load_document
 from .errors import InputError, finite
 
 HARDWARE_KEYS = ("name", "peak_flops", "peak_bandwidth_bytes_per_s")
@@ -61,10 +60,7 @@ class RooflineChart:
 
 
 def load_hardware_spec(text: str) -> HardwareSpec:
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise InputError(f"hardware spec is not valid YAML: {exc}") from exc
+    doc = load_document(text, InputError)
     if not isinstance(doc, dict):
         raise InputError("hardware spec must be a mapping")
     if "cmr" in doc:
@@ -95,11 +91,14 @@ def _conversion(mode: str, bytes_per_element: float, flops_per_mac: float) -> fl
     """Factor taking an input-units intensity to operations per byte."""
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    if bytes_per_element <= 0 or flops_per_mac <= 0:
+    if finite(bytes_per_element, "bytes_per_element") <= 0 or finite(flops_per_mac, "flops_per_mac") <= 0:
         raise InputError("bytes_per_element and flops_per_mac must be positive")
     if mode == "raw":
         return 1.0
-    return flops_per_mac / bytes_per_element
+    factor = flops_per_mac / bytes_per_element
+    if not 0 < factor < math.inf:
+        raise InputError(f"flops_per_mac / bytes_per_element leaves float range: {flops_per_mac} / {bytes_per_element}")
+    return factor
 
 
 def attainable_throughput(
@@ -156,11 +155,15 @@ def roofline_points(
     if envelope_points < 2:
         raise InputError("envelope needs at least 2 samples per segment")
     measured = dict(measured or {})
-    placed = []
+    placed, labels = [], set()
     for label, intensity in points:
+        text = str(label)
+        if text in labels:
+            raise InputError(f"label {text!r} is placed twice; each point needs its own label")
+        labels.add(text)
         placed.append(
             RooflinePoint(
-                label=str(label),
+                label=text,
                 intensity=float(intensity),
                 attainable=attainable_throughput(hw, intensity, mode, bytes_per_element, flops_per_mac),
                 bound=classify(hw, intensity, mode, bytes_per_element, flops_per_mac),
@@ -172,6 +175,8 @@ def roofline_points(
     knee = hw.cmr / factor
     lo = min(min(p.intensity for p in placed), knee) / 10.0
     hi = max(max(p.intensity for p in placed), knee) * 10.0
+    if not 0 < lo < hi < math.inf:
+        raise InputError(f"roofline intensity axis leaves float range: {lo} to {hi}")
     slope = _geomspace(lo, knee, envelope_points)
     roof = _geomspace(knee, hi, envelope_points)
     envelope = [(x, min(hw.peak_throughput, x * factor * hw.peak_bandwidth)) for x in slope]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDataError, InputError
+from .errors import DegenerateDataError, InputError, finite
 from .metrics import weighted_intensity
 
 Z_CRITICAL = {0.95: 1.96, 0.99: 2.58}
@@ -142,8 +142,15 @@ def alpha_grid(step: float = 0.05) -> list[float]:
     return [round(i * step, 10) for i in range(count)] + [1.0]
 
 
+def _check_epsilon(epsilon: float):
+    # NaN fails every `gain < epsilon` test and a negative epsilon nearly every one: both quietly select the argmax
+    if finite(epsilon, "epsilon") < 0:
+        raise InputError(f"epsilon must be >= 0, got {epsilon}")
+
+
 def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.005) -> CalibrationCurve:
     """Correlate DI(alpha) against efficiency over the grid; pick the plateau."""
+    _check_epsilon(epsilon)
     profiles = list(profiles)
     efficiencies = _floats(efficiencies)
     if len(profiles) != len(efficiencies):
@@ -177,6 +184,7 @@ def select_alpha(curve: CalibrationCurve, epsilon: float = 0.005) -> float:
     A curve that keeps improving by epsilon or more all the way to the
     end has no plateau; the argmax (first among ties) is returned then.
     """
+    _check_epsilon(epsilon)
     points = curve.points
     if not points:
         raise InputError("empty calibration curve")

@@ -288,6 +288,26 @@ class TestRoofline:
         result = runner.invoke(main, ["roofline", "--hw", str(hardware_dir / "p100.yaml")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("measured", [False, True])
+    def test_label_placed_twice_exits_2(self, runner, hardware_dir, model_dir, fixture_dir, measured):
+        # the document and the profiles row are both labelled alexnet
+        args = [
+            "roofline", "--hw", str(hardware_dir / "p100.yaml"), str(model_dir / "alexnet.yaml"),
+            "--profiles", str(fixture_dir / "reference_metrics.csv"), "--format", "json",
+        ]
+        if measured:
+            args += ["--measurements", str(fixture_dir / "measurements.csv"), "--device", "P100"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and "'alexnet' is placed twice" in result.stderr
+
+    def test_same_document_twice_exits_2(self, runner, hardware_dir, model_dir):
+        nin = str(model_dir / "nin.yaml")
+        result = runner.invoke(main, ["roofline", "--hw", str(hardware_dir / "p100.yaml"), nin, nin])
+        assert result.exit_code == 2
+        assert "'nin' is placed twice" in result.stderr
+
 
 class TestStats:
     def test_identical_columns(self, runner, tmp_path):
@@ -360,3 +380,62 @@ class TestNonFiniteInputs:
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1,1\nnan,2\n3,4\n4,3\n")
         self.fails_with_exit_2(runner, ["stats", str(path), "--x", "a", "--y", "b"])
+
+
+class TestFloatOptions:
+    """Every float option goes through one finiteness check before any command runs."""
+
+    @pytest.fixture()
+    def commands(self, model_dir, fixture_dir, hardware_dir):
+        model = str(model_dir / "alexnet.yaml")
+        profiles = ["--profiles", str(fixture_dir / "reference_metrics.csv")]
+        measurements = ["--measurements", str(fixture_dir / "measurements.csv"), "--device", "P100"]
+        return {
+            "analyze": ["analyze", model],
+            "calibrate": ["calibrate", *profiles, *measurements],
+            "roofline": ["roofline", "--hw", str(hardware_dir / "p100.yaml"), "--mode", "converted", model],
+        }
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("analyze", "--alpha"), ("analyze", "--tau-low"), ("analyze", "--tau-high"),
+            ("calibrate", "--step"), ("calibrate", "--epsilon"),
+            ("roofline", "--alpha"), ("roofline", "--bytes-per-element"), ("roofline", "--flops-per-mac"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_2(self, runner, commands, command, option, value):
+        result = runner.invoke(main, commands[command] + [option, value])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {option} must be a finite number")
+
+    def test_negative_epsilon_exits_2(self, runner, commands):
+        # -1 fails nearly every `gain < epsilon` test, so calibrate used to select the argmax
+        result = runner.invoke(main, commands["calibrate"] + ["--epsilon", "-1"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: epsilon must be >= 0, got -1.0\n"
+
+    def test_conversion_outside_float_range_exits_2(self, runner, commands):
+        result = runner.invoke(main, commands["roofline"] + ["--bytes-per-element", "1e-300", "--flops-per-mac", "1e300"])
+        assert result.exit_code == 2, result.output
+        assert "float range" in result.stderr
+
+
+class TestDeepNesting:
+    """2,000 nested brackets used to end in a RecursionError traceback and exit 1."""
+
+    def test_model_document_exits_2(self, runner, tmp_path):
+        path = tmp_path / "nest.json"
+        path.write_text("[" * 2000 + "]" * 2000)
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {path}: document nests too deeply\n"
+
+    def test_hardware_spec_exits_2(self, runner, tmp_path, model_dir):
+        path = tmp_path / "nest_hw.yaml"
+        path.write_text("[" * 2000 + "]" * 2000)
+        result = runner.invoke(main, ["roofline", "--hw", str(path), str(model_dir / "nin.yaml")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {path}: document nests too deeply\n"

@@ -38,11 +38,11 @@ CASES = {
     "calibrate.csv": ["calibrate", *PROFILES, *MEASUREMENTS, "--device", "P4000", "--batch", "4"],
     "calibrate.json": ["calibrate", *PROFILES, *MEASUREMENTS, "--device", "P100", "--format", "json"],
     "roofline.csv": [
-        "roofline", "--hw", "{fixtures}/hardware/p100.yaml", "{models}/mobilenet-v1.yaml",
+        "roofline", "--hw", "{fixtures}/hardware/p100.yaml",
         *PROFILES, *MEASUREMENTS, "--device", "P100", "--batch", "4",
     ],
     "roofline.json": [
-        "roofline", "--hw", "{fixtures}/hardware/p4000.yaml", "{models}/mobilenet-v1.yaml",
+        "roofline", "--hw", "{fixtures}/hardware/p4000.yaml",
         *PROFILES, *MEASUREMENTS, "--device", "P4000", "--metric", "di", "--mode", "converted",
         "--format", "json",
     ],

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
+from dnnreuse import document
 from dnnreuse.graph import (
     CycleError,
     DanglingInputError,
@@ -110,6 +118,106 @@ layers:
             ' {"name": "r", "kind": "relu", "inputs": ["d"]}]}'
         )
         assert [l.name for l in parse_model(text).layers] == ["d", "r"]
+
+
+@pytest.fixture(params=["libyaml", "python"])
+def yaml_loader(request, monkeypatch):
+    """Run a test under libyaml and again under the pure-Python loader."""
+    if request.param == "libyaml" and not yaml.__with_libyaml__:
+        pytest.skip("PyYAML built without libyaml")
+    if request.param == "python":
+        monkeypatch.setattr(document, "_LOADER", document._PythonLoader)
+    return request.param
+
+
+def nested(depth: int) -> list[str]:
+    """One document per nesting form, each `depth` nodes deep, the innermost scalar included."""
+    d = depth - 1
+    return [
+        "[" * depth + "]" * depth,  # flow sequences
+        "{a: " * d + "1" + "}" * d,  # flow mappings
+        "- " * d + "x",  # block sequences, one line
+        '{"a": ' * d + "1" + "}" * d,  # JSON
+    ]
+
+
+class TestLoader:
+    def test_libyaml_is_used_when_present(self):
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML built without libyaml")
+        assert issubclass(document._LOADER, yaml.CSafeLoader)
+
+    # (text, line, column); both loaders put each problem at the same place
+    MALFORMED = [
+        ("input: {channels: 3, h: 224, w: 224}\nlayers: [\n  {name: a, kind: input,\n", 4, 1),
+        ("input: [1, 2\nlayers: 3", 2, 7),
+        ("layers:\n  - a\n b: c", 3, 2),
+        ("name: 'unterminated", 1, 20),
+        ("name: value: other", 1, 12),
+        ("{name: x, input: ]}", 1, 18),  # flow YAML: JSON refuses it, YAML reports it
+        ('{"name": "x",\n "input": {"channels": 1 "h": 2}}', 2, 29),  # malformed JSON
+    ]
+
+    @pytest.mark.parametrize("text, line, column", MALFORMED)
+    def test_syntax_error_position(self, yaml_loader, text, line, column):
+        with pytest.raises(ModelSyntaxError, match=rf"^syntax error at line {line}, column {column}: "):
+            parse_model(text)
+
+    def test_flow_yaml_starting_with_brace_falls_back_to_yaml(self, yaml_loader):
+        text = "{name: flow, input: {channels: 1, h: 4, w: 4}, layers: [{name: d, kind: input}, {name: r, kind: relu, inputs: [d]}]}"
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        g = parse_model(text)
+        assert g.name == "flow" and [l.name for l in g.layers] == ["d", "r"]
+
+    def test_every_fixture_reads_the_same_as_json(self, model_dir):
+        # yaml.safe_load is the pure-Python reference reader, independent of document._LOADER
+        for path in sorted(model_dir.glob("*.yaml")):
+            text = path.read_text()
+            as_json = json.dumps(yaml.safe_load(text))
+            assert as_json.startswith("{")
+            assert parse_model(text) == parse_model(as_json), path.name
+
+    def test_exponent_without_dot_is_a_string_in_yaml_and_a_float_in_json(self):
+        # YAML 1.1 takes a float only with a dot and a signed exponent
+        yaml_doc = SMALLEST.replace("{name: data, kind: input}", "{name: 1e3, kind: input}").replace("[data]", "[1e3]")
+        assert parse_model(yaml_doc).layers[0].name == "1e3"
+        json_doc = json.dumps(yaml.safe_load(yaml_doc)).replace('"1e3"', "1e3")
+        with pytest.raises(ModelSyntaxError, match="name"):
+            parse_model(json_doc)
+
+    @pytest.mark.parametrize("value", ["1e3", "1.0e+3"])
+    def test_integer_fields_refuse_exponent_numbers_either_way(self, value):
+        yaml_doc = SMALLEST.replace("out_channels: 64", f"out_channels: {value}")
+        json_doc = json.dumps(yaml.safe_load(SMALLEST)).replace('"out_channels": 64', f'"out_channels": {value}')
+        for text in (yaml_doc, json_doc):
+            with pytest.raises(ModelSyntaxError, match="out_channels must be an integer"):
+                parse_model(text)
+
+    @pytest.mark.parametrize("form", range(4))
+    def test_deep_nesting_is_a_syntax_error(self, yaml_loader, form):
+        # the pure-Python composer and json.loads overflow the interpreter stack here
+        with pytest.raises(ModelSyntaxError, match="nests too deeply"):
+            parse_model(nested(2000)[form])
+
+    @pytest.mark.parametrize("form", range(3))
+    def test_nesting_limit(self, yaml_loader, form):
+        assert document.load_document(nested(document.MAX_DEPTH)[form], ModelSyntaxError)
+        with pytest.raises(ModelSyntaxError, match="nests too deeply"):
+            document.load_document(nested(document.MAX_DEPTH + 1)[form], ModelSyntaxError)
+
+    def test_nesting_beyond_the_c_stack_exits_2(self, tmp_path):
+        # libyaml's composer recurses in C: at this depth it overflows the stack and kills the
+        # process with SIGSEGV unless the loader stops first, so the run is kept out of this one
+        path = tmp_path / "deep.yaml"
+        path.write_text("- " * 100_000 + "x")
+        src = pathlib.Path(document.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-m", "dnnreuse.cli", "analyze", str(path)], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and "nests too deeply" in result.stderr
 
 
 class TestRoundTrip:

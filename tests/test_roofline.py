@@ -55,6 +55,22 @@ class TestHardwareSpec:
         with pytest.raises(InputError, match="finite"):
             load_hardware_spec(f"name: x\npeak_flops: {value}\npeak_bandwidth_bytes_per_s: 1.0e11\n")
 
+    def test_load_json_spec(self):
+        # JSON reads 9.3e12 as a float; YAML 1.1 would read it as a string
+        hw = load_hardware_spec('{"name": "x", "peak_flops": 9.3e12, "peak_bandwidth_bytes_per_s": 549e9}')
+        assert (hw.peak_throughput, hw.peak_bandwidth) == (9.3e12, 549e9)
+        with pytest.raises(InputError, match="finite"):
+            load_hardware_spec("name: x\npeak_flops: 9.3e12\npeak_bandwidth_bytes_per_s: 549e9\n")
+
+    def test_load_reports_syntax_position(self):
+        with pytest.raises(InputError, match=r"^syntax error at line 3, column 1: "):
+            load_hardware_spec("name: x\npeak_flops: [1.0e+12\n")
+
+    @pytest.mark.parametrize("text", ["[" * 2000 + "]" * 2000, '{"name": ' * 2000 + "1" + "}" * 2000])
+    def test_load_rejects_deep_nesting(self, text):
+        with pytest.raises(InputError, match="nests too deeply"):
+            load_hardware_spec(text)
+
     def test_load_rejects_bad_values(self):
         with pytest.raises(InputError):
             load_hardware_spec("name: x\npeak_flops: -1\npeak_bandwidth_bytes_per_s: 1.0e11\n")
@@ -98,6 +114,23 @@ class TestClassify:
             classify(P4000, 10.0, mode="rooftop")
         with pytest.raises(InputError):
             classify(P4000, 10.0, bytes_per_element=0)
+
+    @pytest.mark.parametrize("mode", ["raw", "converted"])
+    @pytest.mark.parametrize("factor", ["bytes_per_element", "flops_per_mac"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factors_rejected(self, mode, factor, value):
+        # NaN passes the `<= 0` check, so it used to turn into a verdict
+        with pytest.raises(InputError, match=f"{factor} must be a finite number"):
+            classify(P100, 10.0, mode=mode, **{factor: value})
+        with pytest.raises(InputError, match=f"{factor} must be a finite number"):
+            attainable_throughput(P100, 10.0, mode=mode, **{factor: value})
+
+    @pytest.mark.parametrize("bytes_per_element, flops_per_mac", [(1e-300, 1e300), (1e300, 1e-300), (1e-308, 2.0)])
+    def test_conversion_outside_float_range_rejected(self, bytes_per_element, flops_per_mac):
+        with pytest.raises(InputError, match="float range"):
+            roofline_points(
+                P100, [("a", 10.0)], mode="converted", bytes_per_element=bytes_per_element, flops_per_mac=flops_per_mac
+            )
 
 
 class TestAttainable:
@@ -169,6 +202,17 @@ class TestChart:
     def test_empty_points_rejected(self):
         with pytest.raises(InputError):
             roofline_points(P4000, [])
+
+    def test_duplicate_label_rejected(self):
+        # one label, two intensities: the chart could not tell the points apart
+        with pytest.raises(InputError, match="'alexnet' is placed twice"):
+            roofline_points(P4000, self.POINTS + [("alexnet", 11.47)])
+
+    def test_axis_outside_float_range_rejected(self):
+        # the ridge sits at 1e300 / 1e-300 = inf operations per byte
+        hw = HardwareSpec(name="x", peak_throughput=1e300, peak_bandwidth=1e-300)
+        with pytest.raises(InputError, match="float range"):
+            roofline_points(hw, self.POINTS)
 
     def test_attainable_in_chart_matches_direct_call(self):
         chart = roofline_points(P100, self.POINTS)

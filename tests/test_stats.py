@@ -154,6 +154,17 @@ class TestSelectAlpha:
         with pytest.raises(InputError):
             select_alpha(CalibrationCurve(points=(), selected_alpha=math.nan, selection_rule={}))
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_epsilon_rejected(self, epsilon):
+        # NaN fails every `gain < epsilon` test and -1 nearly every one, so each used to select the argmax
+        curve = curve_from_series([0.2, 0.5, 0.7, 0.84, 0.85, 0.85], step=0.2)
+        with pytest.raises(InputError, match="epsilon"):
+            select_alpha(curve, epsilon=epsilon)
+
+    def test_zero_epsilon_accepted(self):
+        curve = curve_from_series([0.2, 0.5, 0.7, 0.84, 0.85, 0.85], step=0.2)
+        assert select_alpha(curve, epsilon=0.0) == pytest.approx(0.8)
+
 
 class TestAlphaSweep:
     # mixing weights 0.6/0.4 generate the efficiencies, so r_p(0.6) = 1
@@ -187,6 +198,11 @@ class TestAlphaSweep:
     def test_too_few_networks_rejected(self):
         with pytest.raises(InputError):
             alpha_sweep(self.profiles()[:2], self.efficiencies()[:2])
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_epsilon_rejected(self, epsilon):
+        with pytest.raises(InputError, match="epsilon"):
+            alpha_sweep(self.profiles(), self.efficiencies(), step=0.2, epsilon=epsilon)
 
 
 class TestFisherCI:
