@@ -26,7 +26,6 @@ import click
 
 from .errors import DegenerateDataError, InputError, finite
 from .graph import infer_shapes, parse_model
-from .layercost import layer_cost
 from .measure import energy_efficiency, load_measurements
 from .metrics import DEFAULT_ALPHA, TAU_HIGH, TAU_LOW, derive_metrics, weighted_intensity
 from .netprofile import aggregate, batch_scale, layerwise_ai_stats, load_profiles
@@ -154,7 +153,7 @@ def layers(model, fmt):
     ai_by_name = dict(stats.per_layer_ai)
     rows = []
     for spec in graph.layers:
-        cost = dataclasses.asdict(layer_cost(graph, spec))  # macs, weights, activations
+        cost = dataclasses.asdict(graph.costs[spec.name])  # macs, weights, activations
         rows.append({"name": spec.name, "kind": spec.kind, **cost, "ai": ai_by_name.get(spec.name)})
     doc = {"model": graph.name, "layers": rows, "ai_median": stats.median, "ai_variance": stats.variance}
     trailer = [{"name": "median", "ai": stats.median}, {"name": "variance", "ai": stats.variance}]

@@ -6,6 +6,7 @@ which the requested statistic is undefined). The CLI maps the first to
 exit code 2 and the second to exit code 3.
 """
 
+import reprlib
 import sys
 
 _FLOAT_MAX = sys.float_info.max
@@ -31,5 +32,5 @@ def finite(value, what: str):
     except TypeError:  # not a number at all
         in_range = False
     if not in_range or isinstance(value, bool):
-        raise InputError(f"{what} must be a finite number, got {value!r}")
+        raise InputError(f"{what} must be a finite number, got {reprlib.repr(value)}")
     return value

@@ -24,6 +24,7 @@ the form matters only as a name, which must be a string in JSON.
 from __future__ import annotations
 
 import heapq
+import reprlib
 from dataclasses import dataclass, field, replace
 
 import yaml
@@ -133,10 +134,11 @@ class LayerSpec:
 class ModelGraph:
     """Layers in execution order plus the network input shape.
 
-    `layers` is the execution order: the constructor sorts the layers it
-    is given so that producers precede consumers, ties kept in the given
-    order, and raises CycleError on a cycle. Every pass walks `layers`.
-    `shapes` maps layer name to output TensorShape and is empty until
+    The constructor checks the layers it is given, whether parsed or
+    built by hand (see topo_order), and stores them in execution order:
+    producers precede consumers, ties kept in the given order. Every
+    pass walks `layers`. `shapes` maps layer name to output TensorShape
+    and `costs` maps it to LayerCost; both are empty until
     infer_shapes() has run.
     """
 
@@ -144,6 +146,7 @@ class ModelGraph:
     input_shape: TensorShape
     layers: tuple[LayerSpec, ...]
     shapes: dict = field(default_factory=dict)
+    costs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(topo_order(self)))
@@ -168,7 +171,7 @@ def _expect_mapping(value, what):
 
 def _positive_int(value, what, minimum=1):
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ModelSyntaxError(f"{what} must be an integer >= {minimum}, got {value!r}")
+        raise ModelSyntaxError(f"{what} must be an integer >= {minimum}, got {reprlib.repr(value)}")
     return value
 
 
@@ -190,12 +193,11 @@ def _parse_layer(raw, position) -> LayerSpec:
     if not isinstance(name, str) or not name:
         raise ModelSyntaxError(f"layers[{position}] needs a non-empty string `name`")
     kind = raw.get("kind")
-    if kind not in LAYER_KINDS:
-        raise UnknownKindError(f"layer {name!r}: unknown kind {kind!r} (expected one of {', '.join(LAYER_KINDS)})")
-
     inputs = raw.get("inputs", [])
     if not isinstance(inputs, list) or not all(isinstance(i, str) for i in inputs):
         raise ModelSyntaxError(f"layer {name!r}: `inputs` must be a list of layer names")
+    if kind not in LAYER_KINDS:  # no schema to map; ModelGraph names the kind
+        return LayerSpec(name=name, kind=kind, inputs=tuple(inputs))
 
     schema = _PARAM_SCHEMA[kind]
     known = {"name", "kind", "inputs", "in_place"} | set(schema)
@@ -224,21 +226,12 @@ def _parse_layer(raw, position) -> LayerSpec:
     return LayerSpec(name=name, kind=kind, inputs=tuple(inputs), params=params, in_place=in_place)
 
 
-# Arity of the `inputs` list per kind: (min, max).
-_ARITY = {
-    "input": (0, 0),
-    "conv": (1, 1),
-    "fc": (1, 1),
-    "pool": (1, 1),
-    "relu": (1, 1),
-    "batchnorm": (1, 1),
-    "add": (2, None),
-    "concat": (2, None),
-}
+# Length of the `inputs` list per kind as (min, max); every kind not listed takes exactly one.
+_ARITY = {"input": (0, 0), "add": (2, None), "concat": (2, None)}
 
 
 def parse_model(text: str, name: str | None = None) -> ModelGraph:
-    """Parse and validate a model document; returns an unannotated graph.
+    """Map a model document to an unannotated graph, which checks itself.
 
     The optional `name` is a fallback used when the document carries no
     top-level name (the CLI passes the file stem).
@@ -255,32 +248,10 @@ def parse_model(text: str, name: str | None = None) -> ModelGraph:
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ModelSyntaxError("top-level `layers` must be a non-empty list")
 
-    layers = tuple(_parse_layer(raw, i) for i, raw in enumerate(raw_layers))
-
-    seen = set()
-    for spec in layers:
-        if spec.name in seen:
-            raise DuplicateNameError(f"duplicate layer name {spec.name!r}")
-        seen.add(spec.name)
-
-    input_nodes = [spec for spec in layers if spec.kind == "input"]
-    if len(input_nodes) != 1:
-        raise ModelSyntaxError(f"exactly one kind=input layer required, found {len(input_nodes)}")
-
-    for spec in layers:
-        lo, hi = _ARITY[spec.kind]
-        n = len(spec.inputs)
-        if n < lo or (hi is not None and n > hi):
-            want = f"exactly {lo}" if lo == hi else f"at least {lo}"
-            raise ModelSyntaxError(f"layer {spec.name!r}: kind {spec.kind} takes {want} input(s), got {n}")
-        for ref in spec.inputs:
-            if ref not in seen:
-                raise DanglingInputError(f"layer {spec.name!r}: input {ref!r} does not exist")
-
     return ModelGraph(
         name=doc.get("name") or name or "model",
         input_shape=input_shape,
-        layers=layers,
+        layers=tuple(_parse_layer(raw, i) for i, raw in enumerate(raw_layers)),
     )
 
 
@@ -308,17 +279,36 @@ def serialize_model(graph: ModelGraph) -> str:
 
 
 def topo_order(graph: ModelGraph) -> list[LayerSpec]:
-    """Layers ordered so producers precede consumers.
+    """Layers ordered so producers precede consumers, after checking them.
 
-    Ties are broken by declaration order, which keeps every report and
-    golden file deterministic.
+    Refuses an unknown kind, a repeated name, other than exactly one
+    input layer, a wrong number of inputs, an input naming no layer, and
+    a cycle. Ties are broken by declaration order, which keeps every
+    report and golden file deterministic.
     """
     layers = graph.layers
-    position = {spec.name: i for i, spec in enumerate(layers)}
+    position: dict[str, int] = {}
+    for i, spec in enumerate(layers):
+        if spec.kind not in LAYER_KINDS:
+            raise UnknownKindError(
+                f"layer {spec.name!r}: unknown kind {reprlib.repr(spec.kind)} (expected one of {', '.join(LAYER_KINDS)})"
+            )
+        if position.setdefault(spec.name, i) != i:
+            raise DuplicateNameError(f"duplicate layer name {spec.name!r}")
+    input_nodes = sum(spec.kind == "input" for spec in layers)
+    if input_nodes != 1:
+        raise ModelSyntaxError(f"exactly one kind=input layer required, found {input_nodes}")
+
     indegree = [len(spec.inputs) for spec in layers]
     consumers: list[list[int]] = [[] for _ in layers]
     for i, spec in enumerate(layers):
+        lo, hi = _ARITY.get(spec.kind, (1, 1))
+        if indegree[i] < lo or (hi is not None and indegree[i] > hi):
+            want = f"exactly {lo}" if lo == hi else f"at least {lo}"
+            raise ModelSyntaxError(f"layer {spec.name!r}: kind {spec.kind} takes {want} input(s), got {indegree[i]}")
         for ref in spec.inputs:
+            if ref not in position:
+                raise DanglingInputError(f"layer {spec.name!r}: input {ref!r} does not exist")
             consumers[position[ref]].append(i)
 
     ready = [i for i, d in enumerate(indegree) if d == 0]  # ascending, so already a heap
@@ -350,14 +340,16 @@ def _conv_like_shape(spec: LayerSpec, in_shape: TensorShape, channels: int) -> T
 
 
 def infer_shapes(graph: ModelGraph) -> ModelGraph:
-    """Annotate every layer with its output shape; returns a new graph."""
+    """Annotate every layer with its output shape and its cost; returns a new graph."""
+    from .layercost import layer_cost  # layercost imports this module
+
     shapes: dict[str, TensorShape] = {}
+    costs = {}
     for spec in graph.layers:
         ins = [shapes[ref] for ref in spec.inputs]
         if spec.kind == "input":
             out = graph.input_shape
         elif spec.kind == "conv":
-            spec.check_groups(ins[0].channels)
             out = _conv_like_shape(spec, ins[0], spec.params["out_channels"])
         elif spec.kind == "pool":
             out = _conv_like_shape(spec, ins[0], ins[0].channels)
@@ -369,11 +361,10 @@ def infer_shapes(graph: ModelGraph) -> ModelGraph:
             if any(s != ins[0] for s in ins[1:]):
                 raise ShapeError(f"layer {spec.name!r}: add operands disagree: {[tuple((s.channels, s.height, s.width)) for s in ins]}")
             out = ins[0]
-        elif spec.kind == "concat":
+        else:  # concat
             if any((s.height, s.width) != (ins[0].height, ins[0].width) for s in ins[1:]):
                 raise ShapeError(f"layer {spec.name!r}: concat operands disagree on spatial dims")
             out = TensorShape(sum(s.channels for s in ins), ins[0].height, ins[0].width)
-        else:  # pragma: no cover - kinds are validated at parse
-            raise UnknownKindError(spec.kind)
         shapes[spec.name] = out
-    return replace(graph, shapes=shapes)
+        costs[spec.name] = layer_cost(spec, ins, out)
+    return replace(graph, shapes=shapes, costs=costs)

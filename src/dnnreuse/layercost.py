@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import LayerSpec, ModelGraph, TensorShape
+from .graph import LayerSpec, TensorShape
 
 CONV_FAMILIES = ("standard", "pointwise", "group", "depthwise")
 
@@ -81,10 +81,8 @@ def nonconv_cost(kind: str, in_shapes, out_shape: TensorShape, in_place: bool = 
     return LayerCost(0, weights, activations)
 
 
-def layer_cost(graph: ModelGraph, spec: LayerSpec) -> LayerCost:
-    """Cost of one layer of a shape-annotated graph."""
-    out_shape = graph.output_shape(spec.name)
-    in_shapes = [graph.output_shape(ref) for ref in spec.inputs]
+def layer_cost(spec: LayerSpec, in_shapes, out_shape: TensorShape) -> LayerCost:
+    """Cost of one layer from the shapes of its inputs and its output."""
     if spec.kind == "conv":
         return conv_cost(in_shapes[0], spec, out_shape)
     if spec.kind == "fc":

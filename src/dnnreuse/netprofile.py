@@ -28,7 +28,6 @@ from itertools import accumulate
 
 from .errors import DegenerateDataError, InputError, finite
 from .graph import ModelGraph
-from .layercost import layer_cost
 
 
 @dataclass(frozen=True)
@@ -131,21 +130,21 @@ class LayerStats:
 
 
 def aggregate(graph: ModelGraph) -> NetworkProfile:
-    """Sum layer costs over the whole graph at batch size 1."""
-    if not graph.layers:
-        raise InputError("empty graph")
+    """Sum the layer costs of a shape-annotated graph at batch size 1."""
     macs = 0
     weights = 0
     activations = 0
     for spec in graph.layers:
-        cost = layer_cost(graph, spec)
+        # output_shape first: it names the missing infer_shapes run on an unannotated graph
+        produced = graph.output_shape(spec.name).element_count()
+        cost = graph.costs[spec.name]
         macs += cost.macs
         weights += cost.weights
         # Count each produced tensor once. In-place layers reuse their
         # producer's storage; everything else, the input included,
         # contributes exactly its output elements.
         if not spec.aliases_input:
-            activations += graph.output_shape(spec.name).element_count()
+            activations += produced
     return NetworkProfile(
         macs=macs,
         weights=weights,
@@ -160,8 +159,8 @@ def layerwise_ai_stats(graph: ModelGraph) -> LayerStats:
     for spec in graph.layers:
         if spec.kind not in ("conv", "fc"):
             continue
-        cost = layer_cost(graph, spec)
         produced = graph.output_shape(spec.name).element_count()
+        cost = graph.costs[spec.name]
         per_layer.append((spec.name, cost.macs / (cost.weights + produced)))
     if not per_layer:
         raise DegenerateDataError("no MAC-bearing layers")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
 from .document import load_document
@@ -19,6 +20,9 @@ from .errors import InputError, finite
 HARDWARE_KEYS = ("name", "peak_flops", "peak_bandwidth_bytes_per_s")
 
 MODES = ("raw", "converted")
+
+# an exponent number that float() reads; YAML 1.1 reads it as a number only with a dot and a signed exponent
+_EXPONENT_NUMBER = re.compile(r"([-+]?\d+)(\.\d*)?[eE]([-+]?)(\d+)")
 
 
 class Bound(enum.Enum):
@@ -76,7 +80,12 @@ def load_hardware_spec(text: str) -> HardwareSpec:
         raise InputError("hardware name must be a non-empty string")
     values = {}
     for key in ("peak_flops", "peak_bandwidth_bytes_per_s"):
-        raw = finite(doc[key], key)
+        try:
+            raw = finite(doc[key], key)
+        except InputError as exc:
+            m = isinstance(doc[key], str) and _EXPONENT_NUMBER.fullmatch(doc[key])
+            hint = f"; YAML 1.1 reads that form as text, so write {m[1]}{m[2] or '.0'}e{m[3] or '+'}{m[4]}" if m else ""
+            raise InputError(f"{exc}{hint}") from None
         if raw <= 0:
             raise InputError(f"{key} must be positive, got {raw}")
         values[key] = float(raw)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 from click.testing import CliRunner
 
+from dnnreuse import layercost
 from dnnreuse.cli import main
+from dnnreuse.graph import parse_model
 
 TINY_MODEL = """\
 name: tiny
@@ -153,6 +156,17 @@ class TestLayers:
             for fmt in ("csv", "json"):
                 expected = run_ok(runner, [command, str(in_order), "--format", fmt])
                 assert run_ok(runner, [command, str(shuffled), "--format", fmt]) == expected
+
+
+def test_each_layer_is_costed_once_per_command(runner, model_dir, monkeypatch):
+    # infer_shapes costs each layer as it fixes its shape; no command costs a layer again
+    path = model_dir / "googlenet.yaml"
+    calls = []
+    original = layercost.layer_cost
+    monkeypatch.setattr(layercost, "layer_cost", lambda *args: calls.append(args[0].name) or original(*args))
+    run_ok(runner, ["analyze", str(path)])
+    run_ok(runner, ["layers", str(path)])
+    assert len(calls) == 2 * len(parse_model(path.read_text()).layers)
 
 
 class TestCalibrate:
@@ -439,3 +453,35 @@ class TestDeepNesting:
         result = runner.invoke(main, ["roofline", "--hw", str(path), str(model_dir / "nin.yaml")])
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {path}: document nests too deeply\n"
+
+
+class TestLongValues:
+    """An offending value is shown cut short, however large it is."""
+
+    @pytest.fixture(autouse=True)
+    def nested_list(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative file names keep the error line's length fixed
+        value = 0
+        for _ in range(900):  # under the JSON decoder's recursion limit, so the document loads
+            value = [value]
+        return value
+
+    def exits_2_with_short_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ") and "[[[[[[[...]]]]]]]" in result.stderr
+        assert len(result.stderr.rstrip("\n")) < 200, result.stderr
+
+    def test_model_field(self, runner, nested_list):
+        layers = [{"name": "d", "kind": "input"}]
+        pathlib.Path("m.json").write_text(json.dumps({"input": {"channels": nested_list, "h": 4, "w": 4}, "layers": layers}))
+        self.exits_2_with_short_error(runner, ["analyze", "m.json"])
+
+    def test_layer_kind(self, runner, nested_list):
+        layers = [{"name": "d", "kind": "input"}, {"name": "r", "kind": nested_list, "inputs": ["d"]}]
+        pathlib.Path("k.json").write_text(json.dumps({"input": {"channels": 3, "h": 4, "w": 4}, "layers": layers}))
+        self.exits_2_with_short_error(runner, ["analyze", "k.json"])
+
+    def test_hardware_peak(self, runner, model_dir, nested_list):
+        pathlib.Path("hw.json").write_text(json.dumps({"name": "x", "peak_flops": nested_list, "peak_bandwidth_bytes_per_s": 1e11}))
+        self.exits_2_with_short_error(runner, ["roofline", "--hw", "hw.json", str(model_dir / "nin.yaml")])

@@ -38,8 +38,26 @@ layers:
 """
 
 
+DATA = LayerSpec("data", "input")
+CONV1 = LayerSpec(
+    "conv1",
+    "conv",
+    ("data",),
+    {"out_channels": 64, "kernel_h": 3, "kernel_w": 3, "stride_h": 1, "stride_w": 1, "pad_h": 1, "pad_w": 1, "groups": 1},
+)
+
+
 def edges(graph: ModelGraph):
     return [(ref, spec.name) for spec in graph.layers for ref in spec.inputs]
+
+
+def rejected_both_ways(text, layers, error, match):
+    """The document and the same graph built by hand fail alike: one class, one message."""
+    with pytest.raises(error, match=match) as parsed:
+        parse_model(text)
+    with pytest.raises(error, match=match) as built:
+        ModelGraph(name="hand", input_shape=TensorShape(3, 8, 8), layers=layers)
+    assert (type(built.value), str(built.value)) == (type(parsed.value), str(parsed.value))
 
 
 class TestParse:
@@ -62,8 +80,8 @@ class TestParse:
         assert parse_model(text).layer("relu1").in_place is False
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(UnknownKindError, match="deconv"):
-            parse_model(SMALLEST.replace("kind: relu", "kind: deconv"))
+        text = SMALLEST.replace("kind: relu", "kind: deconv")
+        rejected_both_ways(text, (DATA, CONV1, LayerSpec("relu1", "deconv", ("conv1",))), UnknownKindError, "deconv")
 
     def test_cycle_rejected(self):
         text = """
@@ -77,12 +95,12 @@ layers:
             parse_model(text)
 
     def test_duplicate_name_rejected(self):
-        with pytest.raises(DuplicateNameError, match="conv1"):
-            parse_model(SMALLEST.replace("name: relu1", "name: conv1"))
+        text = SMALLEST.replace("name: relu1", "name: conv1")
+        rejected_both_ways(text, (DATA, CONV1, LayerSpec("conv1", "relu", ("conv1",))), DuplicateNameError, "conv1")
 
     def test_dangling_input_rejected(self):
-        with pytest.raises(DanglingInputError, match="ghost"):
-            parse_model(SMALLEST.replace("inputs: [conv1]", "inputs: [ghost]"))
+        text = SMALLEST.replace("inputs: [conv1]", "inputs: [ghost]")
+        rejected_both_ways(text, (DATA, CONV1, LayerSpec("relu1", "relu", ("ghost",))), DanglingInputError, "ghost")
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(ModelSyntaxError, match=r"line \d+"):
@@ -108,8 +126,7 @@ layers:
   - {name: a, kind: input}
   - {name: b, kind: input}
 """
-        with pytest.raises(ModelSyntaxError, match="input"):
-            parse_model(text)
+        rejected_both_ways(text, (LayerSpec("a", "input"), LayerSpec("b", "input")), ModelSyntaxError, "input")
 
     def test_json_document_accepted(self):
         text = (
@@ -118,6 +135,47 @@ layers:
             ' {"name": "r", "kind": "relu", "inputs": ["d"]}]}'
         )
         assert [l.name for l in parse_model(text).layers] == ["d", "r"]
+
+
+# Each graph is the input layer d plus one faulty layer:
+# (its document entry, the same layer built by hand, error, message fragment).
+DEFECTS = [
+    pytest.param(
+        "{name: r, kind: relu, inputs: [ghost]}", LayerSpec("r", "relu", ("ghost",)),
+        DanglingInputError, "input 'ghost' does not exist", id="dangling-input",
+    ),
+    pytest.param(
+        "{name: d, kind: relu, inputs: [d]}", LayerSpec("d", "relu", ("d",)),
+        DuplicateNameError, "duplicate layer name 'd'", id="duplicate-name",
+    ),
+    pytest.param(
+        "{name: r, kind: relu}", LayerSpec("r", "relu"),
+        ModelSyntaxError, "kind relu takes exactly 1 input", id="relu-without-input",
+    ),
+    pytest.param(
+        "{name: e, kind: input}", LayerSpec("e", "input"),
+        ModelSyntaxError, "exactly one kind=input layer required, found 2", id="second-input-layer",
+    ),
+    pytest.param(
+        "{name: a, kind: add, inputs: [d]}", LayerSpec("a", "add", ("d",)),
+        ModelSyntaxError, "kind add takes at least 2 input", id="add-of-one",
+    ),
+    pytest.param(
+        "{name: b, kind: bogus, inputs: [d]}", LayerSpec("b", "bogus", ("d",)),
+        UnknownKindError, "unknown kind 'bogus'", id="unknown-kind",
+    ),
+    pytest.param(
+        "{name: c, kind: conv, inputs: [d, d], out_channels: 64, kernel_h: 3, kernel_w: 3, pad_h: 1, pad_w: 1}",
+        LayerSpec("c", "conv", ("d", "d"), CONV1.params),
+        ModelSyntaxError, "kind conv takes exactly 1 input", id="conv-of-two",
+    ),
+]
+
+
+@pytest.mark.parametrize("entry, spec, error, match", DEFECTS)
+def test_hand_built_graph_is_checked_like_a_parsed_one(entry, spec, error, match):
+    text = f"input: {{channels: 3, h: 8, w: 8}}\nlayers:\n  - {{name: d, kind: input}}\n  - {entry}\n"
+    rejected_both_ways(text, (LayerSpec("d", "input"), spec), error, match)
 
 
 @pytest.fixture(params=["libyaml", "python"])

@@ -62,6 +62,23 @@ class TestHardwareSpec:
         with pytest.raises(InputError, match="finite"):
             load_hardware_spec("name: x\npeak_flops: 9.3e12\npeak_bandwidth_bytes_per_s: 549e9\n")
 
+    @pytest.mark.parametrize(
+        "value, suggestion", [("9.3e12", "9.3e+12"), ("1e12", "1.0e+12"), ("2E-3", "2.0e-3"), ("'9.3e12'", "9.3e+12")]
+    )
+    def test_exponent_read_as_text_gets_a_hint(self, value, suggestion):
+        # YAML 1.1 reads an exponent number as a float only with a dot and a signed exponent
+        with pytest.raises(InputError) as info:
+            load_hardware_spec(f"name: x\npeak_flops: {value}\npeak_bandwidth_bytes_per_s: 1.0e+11\n")
+        assert str(info.value) == (
+            f"peak_flops must be a finite number, got '{value.strip(chr(39))}'; "
+            f"YAML 1.1 reads that form as text, so write {suggestion}"
+        )
+
+    @pytest.mark.parametrize("value", ["abc", "'1.5'", "'nan'", "9.3e12x"])
+    def test_other_text_keeps_the_plain_message(self, value):
+        with pytest.raises(InputError, match=r"^peak_bandwidth_bytes_per_s must be a finite number, got '[^']*'$"):
+            load_hardware_spec(f"name: x\npeak_flops: 1.0e+12\npeak_bandwidth_bytes_per_s: {value}\n")
+
     def test_load_reports_syntax_position(self):
         with pytest.raises(InputError, match=r"^syntax error at line 3, column 1: "):
             load_hardware_spec("name: x\npeak_flops: [1.0e+12\n")
