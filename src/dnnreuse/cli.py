@@ -24,6 +24,7 @@ import sys
 
 import click
 
+from .document import read_rows
 from .errors import DegenerateDataError, InputError, finite
 from .graph import infer_shapes, parse_model
 from .measure import energy_efficiency, load_measurements
@@ -59,20 +60,16 @@ def _guarded(func):
                 if isinstance(value, float):
                     finite(value, "--" + name.replace("_", "-"))
             return func(*args, **kwargs)
-        except (DegenerateDataError, InputError, OSError, UnicodeDecodeError) as exc:
+        except (DegenerateDataError, InputError, OSError, UnicodeDecodeError, csv.Error) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3 if isinstance(exc, DegenerateDataError) else 2)
 
     return wrapper
 
 
-def _read_text(path: str) -> str:
-    return pathlib.Path(path).read_text(encoding="utf-8")
-
-
 def _parse_file(path: str, parse):
     """parse(text) of the file at `path`; an input error names the file."""
-    text = _read_text(path)
+    text = pathlib.Path(path).read_text(encoding="utf-8")
     try:
         return parse(text)
     except InputError as exc:
@@ -153,7 +150,7 @@ def layers(model, fmt):
     ai_by_name = dict(stats.per_layer_ai)
     rows = []
     for spec in graph.layers:
-        cost = dataclasses.asdict(graph.costs[spec.name])  # macs, weights, activations
+        cost = dataclasses.asdict(graph.cost(spec.name))  # macs, weights, activations
         rows.append({"name": spec.name, "kind": spec.kind, **cost, "ai": ai_by_name.get(spec.name)})
     doc = {"model": graph.name, "layers": rows, "ai_median": stats.median, "ai_variance": stats.variance}
     trailer = [{"name": "median", "ai": stats.median}, {"name": "variance", "ai": stats.variance}]
@@ -271,18 +268,22 @@ def roofline(models, hw_path, profiles_path, metric, alpha, mode, bytes_per_elem
 @_guarded
 def stats(table, x_col, y_col, fmt):
     """Correlations between two CSV columns, with Fisher confidence intervals."""
-    reader = csv.DictReader(io.StringIO(_read_text(table)))
-    fields = reader.fieldnames or []
-    for col in (x_col, y_col):
-        if col not in fields:
-            raise InputError(f"{table}: no column {col!r}; have {fields}")
-    xs, ys = [], []
-    for i, row in enumerate(reader, start=2):
-        try:
-            xs.append(finite(float(row[x_col]), x_col))
-            ys.append(finite(float(row[y_col]), y_col))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{table}: row {i}: bad value in {x_col!r} or {y_col!r}: {exc}") from None
+    def columns(text):
+        header, rows = read_rows(text)
+        at = {name: i for i, name in enumerate(header)}  # a repeated name means its last column
+        for col in (x_col, y_col):
+            if col not in at:
+                raise InputError(f"no column {col!r}; have {header}")
+        xs, ys = [], []
+        for i, fields in rows:
+            try:
+                xs.append(finite(float(fields[at[x_col]]), x_col))
+                ys.append(finite(float(fields[at[y_col]]), y_col))
+            except ValueError as exc:
+                raise InputError(f"row {i}: bad value in {x_col!r} or {y_col!r}: {exc}") from None
+        return xs, ys
+
+    xs, ys = _parse_file(table, columns)
     n = len(xs)
     correlations = {"r_p": pearson(xs, ys), "r_s": spearman(xs, ys)}
     intervals = {}

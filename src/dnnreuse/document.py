@@ -1,4 +1,4 @@
-"""One loader for every document the package reads: model documents and hardware specs.
+"""Readers for every input the package takes: model documents, hardware specs and CSV tables.
 
 A text whose first non-blank character is `{` is tried as JSON first,
 through the C decoder behind json.loads. If it does not decode, it falls
@@ -15,9 +15,13 @@ takes a float only with a dot and a signed exponent (`1.0e+3`).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import yaml
+
+from .errors import InputError
 
 # A model document nests five nodes deep: document, layers, layer, inputs
 # and a name. libyaml composes nodes by recursing in C, where a document
@@ -77,3 +81,20 @@ def load_document(text: str, error: type[Exception]):
         raise error(f"syntax error at {where}: {exc.problem or exc}") from exc
     except yaml.YAMLError as exc:
         raise error(f"syntax error: {exc}") from exc
+
+
+def read_rows(text: str):
+    """(header, rows) of a CSV table: rows yields (number, fields) per non-blank data row, from row 2.
+
+    A data row not as wide as the header raises InputError when reached.
+    """
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
+
+    def rows():
+        for number, fields in enumerate(filter(None, reader), start=2):
+            if len(fields) != len(header):
+                raise InputError(f"row {number}: expected {len(header)} fields, got {len(fields)}")
+            yield number, fields
+
+    return header, rows()

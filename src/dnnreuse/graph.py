@@ -162,6 +162,11 @@ class ModelGraph:
             raise ShapeError(f"no inferred shape for layer {name!r}; run infer_shapes first")
         return self.shapes[name]
 
+    def cost(self, name: str):
+        if name not in self.costs:
+            raise ShapeError(f"no inferred cost for layer {name!r}; run infer_shapes first")
+        return self.costs[name]
+
 
 def _expect_mapping(value, what):
     if not isinstance(value, dict):

@@ -19,7 +19,8 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .errors import InputError, finite
+from .document import read_rows
+from .errors import _FLOAT_MAX, InputError, finite
 
 MEASUREMENT_COLUMNS = ("model", "device", "batch", "p_avg_w", "i_t_ms", "input_h", "input_w", "macs")
 
@@ -49,7 +50,9 @@ class EnergyMetrics:
 
 def _parse_positive(value: str, column: str, row: int, cast):
     try:
-        parsed = finite(cast(value), column)
+        parsed = cast(value)
+        if not 0 < parsed <= _FLOAT_MAX:  # the common case skips finite(), whose message the rest need
+            parsed = finite(parsed, column)
     except (TypeError, ValueError) as exc:
         raise InputError(f"row {row}: column {column!r} is not a finite number: {exc}") from None
     if parsed <= 0:
@@ -59,35 +62,27 @@ def _parse_positive(value: str, column: str, row: int, cast):
 
 def load_measurements(text: str) -> list[MeasurementRecord]:
     """Parse a measurements CSV; rejects bad headers, values, and duplicate keys."""
-    reader = csv.DictReader(io.StringIO(text))
-    header = tuple(reader.fieldnames or ())
-    if header != MEASUREMENT_COLUMNS:
-        missing = set(MEASUREMENT_COLUMNS) - set(header)
-        surplus = set(header) - set(MEASUREMENT_COLUMNS)
-        detail = []
-        if missing:
-            detail.append(f"missing columns {sorted(missing)}")
-        if surplus:
-            detail.append(f"unexpected columns {sorted(surplus)}")
+    header, rows = read_rows(text)
+    if tuple(header) != MEASUREMENT_COLUMNS:
+        missing, surplus = set(MEASUREMENT_COLUMNS) - set(header), set(header) - set(MEASUREMENT_COLUMNS)
+        detail = [f"{what} columns {sorted(names)}" for what, names in (("missing", missing), ("unexpected", surplus)) if names]
         raise InputError("measurements header mismatch: " + "; ".join(detail or ["wrong column order"]))
 
     records = []
     seen = set()
-    for i, row in enumerate(reader, start=2):
-        model = (row["model"] or "").strip()
-        device = (row["device"] or "").strip()
+    for i, (model, device, batch, p_avg_w, i_t_ms, input_h, input_w, macs) in rows:
+        model, device, macs = model.strip(), device.strip(), macs.strip()
         if not model or not device:
             raise InputError(f"row {i}: model and device must be non-empty")
-        macs_raw = (row["macs"] or "").strip()
         record = MeasurementRecord(
             model=model,
             device=device,
-            batch=_parse_positive(row["batch"], "batch", i, int),
-            p_avg_w=_parse_positive(row["p_avg_w"], "p_avg_w", i, float),
-            i_t_ms=_parse_positive(row["i_t_ms"], "i_t_ms", i, float),
-            input_h=_parse_positive(row["input_h"], "input_h", i, int),
-            input_w=_parse_positive(row["input_w"], "input_w", i, int),
-            macs=_parse_positive(macs_raw, "macs", i, float) if macs_raw else None,
+            batch=_parse_positive(batch, "batch", i, int),
+            p_avg_w=_parse_positive(p_avg_w, "p_avg_w", i, float),
+            i_t_ms=_parse_positive(i_t_ms, "i_t_ms", i, float),
+            input_h=_parse_positive(input_h, "input_h", i, int),
+            input_w=_parse_positive(input_w, "input_w", i, int),
+            macs=_parse_positive(macs, "macs", i, float) if macs else None,
         )
         key = (record.model, record.device, record.batch)
         if key in seen:
@@ -110,12 +105,10 @@ def serialize_measurements(records) -> str:
 
 def load_power_samples(text: str) -> list[float]:
     """Parse a raw power trace CSV (t_ms,watts) into a watt series."""
-    reader = csv.DictReader(io.StringIO(text))
-    if tuple(reader.fieldnames or ()) != ("t_ms", "watts"):
+    header, rows = read_rows(text)
+    if header != ["t_ms", "watts"]:
         raise InputError("power trace header must be exactly `t_ms,watts`")
-    watts = []
-    for i, row in enumerate(reader, start=2):
-        watts.append(_parse_positive(row["watts"], "watts", i, float))
+    watts = [_parse_positive(value, "watts", i, float) for i, (_, value) in rows]
     if not watts:
         raise InputError("power trace contains no samples")
     return watts

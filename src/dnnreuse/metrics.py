@@ -50,10 +50,15 @@ def _check_alpha(alpha: float):
         raise InputError(f"alpha must lie in [0, 1], got {alpha}")
 
 
+def intensity_at(alpha: float = DEFAULT_ALPHA):
+    """DI at one alpha, as a function of (activation_reuse, weight_reuse)."""
+    _check_alpha(alpha)
+    return lambda activation_reuse, weight_reuse: (alpha * activation_reuse + (1 - alpha) * weight_reuse) / 4
+
+
 def weighted_intensity(profile: NetworkProfile, alpha: float = DEFAULT_ALPHA) -> float:
     """DI: activation reuse weighted by alpha, weight reuse by 1 - alpha."""
-    _check_alpha(alpha)
-    return (alpha * profile.activation_reuse + (1 - alpha) * profile.weight_reuse) / 4
+    return intensity_at(alpha)(profile.activation_reuse, profile.weight_reuse)
 
 
 def ai_from_reuse(weight_reuse: float, activation_reuse: float) -> float:

@@ -20,12 +20,11 @@ forward-pass count comes from an optional macs column.
 
 from __future__ import annotations
 
-import csv
-import io
 import statistics
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
+from .document import read_rows
 from .errors import DegenerateDataError, InputError, finite
 from .graph import ModelGraph
 
@@ -85,33 +84,35 @@ class NetworkProfile:
         )
 
 
-def _number(row: dict, column: str) -> float:
-    return finite(float(row[column]), column)
+def _number(fields: list, column: dict, name: str) -> float:
+    return finite(float(fields[column[name]]), name)
 
 
 def load_profiles(text: str) -> dict[str, tuple[NetworkProfile, float | None]]:
     """model -> (profile, forward-pass macs or None) from a profiles CSV, in file order."""
-    reader = csv.DictReader(io.StringIO(text))
-    fields = set(reader.fieldnames or [])
-    if "model" not in fields:
+    header, rows = read_rows(text)
+    column = {name: i for i, name in enumerate(header)}  # a repeated name means its last column
+    if "model" not in column:
         raise InputError("profile CSV needs a 'model' column")
-    count_form = {"macs", "weights", "activations"}.issubset(fields)
-    if not count_form and not {"mc_over_w", "mc_over_a"}.issubset(fields):
+    count_form = {"macs", "weights", "activations"}.issubset(column)
+    if not count_form and not {"mc_over_w", "mc_over_a"}.issubset(column):
         raise InputError("profile CSV needs either macs,weights,activations or mc_over_w,mc_over_a columns")
     profiles = {}
-    for i, row in enumerate(reader, start=2):
-        model = (row["model"] or "").strip()
+    for i, fields in rows:
+        model = fields[column["model"]].strip()
         if not model:
             raise InputError(f"row {i}: empty model name")
         if model in profiles:
             raise InputError(f"row {i}: duplicate model {model!r}")
         try:
             if count_form:
-                macs = _number(row, "macs")
-                profile = NetworkProfile(macs, _number(row, "weights"), _number(row, "activations"))
+                macs = _number(fields, column, "macs")
+                profile = NetworkProfile(macs, _number(fields, column, "weights"), _number(fields, column, "activations"))
             else:
-                profile = NetworkProfile.from_reuse(_number(row, "mc_over_w"), _number(row, "mc_over_a"))
-                macs = _number(row, "macs") if row.get("macs") else None
+                profile = NetworkProfile.from_reuse(_number(fields, column, "mc_over_w"), _number(fields, column, "mc_over_a"))
+                macs = _number(fields, column, "macs") if "macs" in column and fields[column["macs"]] else None
+                if macs is not None and macs < 0:
+                    raise InputError(f"macs must be non-negative, got {macs}")
         except (TypeError, ValueError) as exc:
             raise InputError(f"row {i}: bad value for {model!r}: {exc}") from None
         profiles[model] = (profile, macs)
@@ -135,9 +136,8 @@ def aggregate(graph: ModelGraph) -> NetworkProfile:
     weights = 0
     activations = 0
     for spec in graph.layers:
-        # output_shape first: it names the missing infer_shapes run on an unannotated graph
         produced = graph.output_shape(spec.name).element_count()
-        cost = graph.costs[spec.name]
+        cost = graph.cost(spec.name)
         macs += cost.macs
         weights += cost.weights
         # Count each produced tensor once. In-place layers reuse their
@@ -160,7 +160,7 @@ def layerwise_ai_stats(graph: ModelGraph) -> LayerStats:
         if spec.kind not in ("conv", "fc"):
             continue
         produced = graph.output_shape(spec.name).element_count()
-        cost = graph.costs[spec.name]
+        cost = graph.cost(spec.name)
         per_layer.append((spec.name, cost.macs / (cost.weights + produced)))
     if not per_layer:
         raise DegenerateDataError("no MAC-bearing layers")

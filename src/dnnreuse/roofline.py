@@ -84,7 +84,9 @@ def load_hardware_spec(text: str) -> HardwareSpec:
             raw = finite(doc[key], key)
         except InputError as exc:
             m = isinstance(doc[key], str) and _EXPONENT_NUMBER.fullmatch(doc[key])
-            hint = f"; YAML 1.1 reads that form as text, so write {m[1]}{m[2] or '.0'}e{m[3] or '+'}{m[4]}" if m else ""
+            hint = ""
+            if m and math.isfinite(float(doc[key])):  # beyond float range, YAML 1.1 reads the suggested form as inf
+                hint = f"; YAML 1.1 reads that form as text, so write {m[1]}{m[2] or '.0'}e{m[3] or '+'}{m[4]}"
             raise InputError(f"{exc}{hint}") from None
         if raw <= 0:
             raise InputError(f"{key} must be positive, got {raw}")

@@ -8,10 +8,12 @@ reported intervals are stable to the last printed digit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 from .errors import DegenerateDataError, InputError, finite
-from .metrics import weighted_intensity
+from .metrics import intensity_at
 
 Z_CRITICAL = {0.95: 1.96, 0.99: 2.58}
 
@@ -33,9 +35,6 @@ class CalibrationCurve:
 
     def alphas(self):
         return [p.alpha for p in self.points]
-
-    def pearson_values(self):
-        return [p.r_p for p in self.points]
 
 
 @dataclass(frozen=True)
@@ -80,50 +79,52 @@ def _unit_deviations(values) -> list[float]:
         raise DegenerateDataError("correlation undefined on a zero-variance series")
     # an exact power-of-two rescale into (-1, 1) keeps the mean's sum finite
     _, exponent = math.frexp(max(map(abs, values)))
-    values = [math.ldexp(v, -exponent) for v in values]
+    values = list(map(math.ldexp, values, repeat(-exponent)))
     mean = math.fsum(values) / len(values)
-    deviations = [v - mean for v in values]
+    deviations = list(map(operator.sub, values, repeat(mean)))
     peak = max(map(abs, deviations))
-    return [d / peak for d in deviations]
+    return list(map(operator.truediv, deviations, repeat(peak)))
 
 
-def _co_moment(dx, dy) -> float:
-    """Sum of dx*dy about the exact means of the two series.
+def _co_moment(dx, sum_x, dy, sum_y) -> float:
+    """Sum of dx*dy about the exact means of the two series, given fsum(dx) and fsum(dy).
 
     The deviations are taken from a rounded mean; the second term (the
     corrected two-pass formula) removes the offset that rounding leaves,
     which matters when the spread is only a few ulps wide.
     """
-    return math.fsum(a * b for a, b in zip(dx, dy)) - math.fsum(dx) * math.fsum(dy) / len(dx)
+    return math.fsum(map(operator.mul, dx, dy)) - sum_x * sum_y / len(dx)
 
 
-def _correlation(dx, dy) -> float:
-    """Pearson's r from the _unit_deviations of two series."""
-    r = _co_moment(dx, dy) / math.sqrt(_co_moment(dx, dx) * _co_moment(dy, dy))
+def _series(values) -> tuple[list[float], float, float]:
+    """What _correlation needs of a series: its _unit_deviations, their fsum and their co-moment."""
+    d = _unit_deviations(values)
+    total = math.fsum(d)
+    return d, total, _co_moment(d, total, d, total)
+
+
+def _correlation(x, y) -> float:
+    """Pearson's r from the _series of two samples."""
+    (dx, sum_x, xx), (dy, sum_y, yy) = x, y
+    r = _co_moment(dx, sum_x, dy, sum_y) / math.sqrt(xx * yy)
     return max(-1.0, min(1.0, r))
 
 
 def pearson(xs, ys) -> float:
     """Product-moment correlation coefficient, independent of input scale."""
     xs, ys = _validate_pair(xs, ys)
-    return _correlation(_unit_deviations(xs), _unit_deviations(ys))
+    return _correlation(_series(xs), _series(ys))
 
 
 def _average_ranks(values) -> list[float]:
     """1-based ranks; each run of ties shares its mean rank, an exact half-integer."""
     if not all(map(math.isfinite, values)):
         raise DegenerateDataError("ranks undefined on non-finite values")
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    start = 0
-    while start < len(order):
-        end = start
-        while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
-            end += 1
-        for i in order[start : end + 1]:
-            ranks[i] = (start + end) / 2 + 1
-        start = end + 1
-    return ranks
+    ordered = sorted(values)
+    # a run of ties spans the first to the last 1-based position of its value in `ordered`
+    first = dict(zip(reversed(ordered), range(len(ordered), 0, -1)))
+    last = dict(zip(ordered, range(1, len(ordered) + 1)))
+    return [(first[v] + last[v]) / 2 for v in values]
 
 
 def spearman(xs, ys) -> float:
@@ -157,25 +158,19 @@ def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.0
         raise InputError("profiles and efficiencies must be matched lists")
     if len(profiles) < 3:
         raise InputError("calibration needs at least 3 networks")
-    # the efficiency series is fixed, so it is standardised and ranked once, not at every alpha
-    efficiency_dev = _unit_deviations(efficiencies)
-    rank_dev = _unit_deviations(_average_ranks(efficiencies))
+    # the efficiency series and the reuse pairs are fixed, so they are prepared once, not at every alpha
+    efficiency = _series(efficiencies)
+    efficiency_ranks = _series(_average_ranks(efficiencies))
+    grid = alpha_grid(step)
+    activation_reuse, weight_reuse = zip(*[(p.activation_reuse, p.weight_reuse) for p in profiles])
     points = []
-    for alpha in alpha_grid(step):
-        dis = [weighted_intensity(p, alpha) for p in profiles]
-        r_p = _correlation(_unit_deviations(dis), efficiency_dev)
-        r_s = _correlation(_unit_deviations(_average_ranks(dis)), rank_dev)
+    for alpha in grid:
+        dis = list(map(intensity_at(alpha), activation_reuse, weight_reuse))
+        r_p = _correlation(_series(dis), efficiency)
+        r_s = _correlation(_series(_average_ranks(dis)), efficiency_ranks)
         points.append(CalibrationPoint(alpha=alpha, r_p=r_p, r_s=r_s))
-    curve = CalibrationCurve(
-        points=tuple(points),
-        selected_alpha=math.nan,
-        selection_rule={"rule": "plateau", "epsilon": epsilon},
-    )
-    return CalibrationCurve(
-        points=curve.points,
-        selected_alpha=select_alpha(curve, epsilon),
-        selection_rule=curve.selection_rule,
-    )
+    curve = CalibrationCurve(tuple(points), math.nan, {"rule": "plateau", "epsilon": epsilon})
+    return replace(curve, selected_alpha=select_alpha(curve, epsilon))
 
 
 def select_alpha(curve: CalibrationCurve, epsilon: float = 0.005) -> float:

@@ -120,3 +120,17 @@ def plateau_alpha(curve, epsilon=0.005):
     for alpha, r in curve:
         if r == best:
             return alpha
+
+
+def tie_averaged_ranks(values):
+    """1-based rank of each value; tied values share the mean of the positions they span.
+
+    A value with `below` smaller values and `tied` equal ones (itself
+    included) spans positions below + 1 .. below + tied.
+    """
+    ranks = []
+    for v in values:
+        below = sum(1 for u in values if u < v)
+        tied = sum(1 for u in values if u == v)
+        ranks.append(below + (tied + 1) / 2)
+    return ranks

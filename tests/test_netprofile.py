@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnnreuse.errors import DegenerateDataError, InputError
-from dnnreuse.graph import infer_shapes, parse_model
+from dnnreuse.graph import ShapeError, infer_shapes, parse_model
 from dnnreuse.layercost import fc_cost
 from dnnreuse.netprofile import (
     NetworkProfile,
@@ -71,6 +72,20 @@ layers:
 
         with pytest.raises(InputError):
             aggregate(ModelGraph(name="x", input_shape=TensorShape(1, 1, 1), layers=()))
+
+
+class TestCostsMissing:
+    """A graph whose shapes were filled without costs names the layer and infer_shapes, as output_shape does."""
+
+    def test_aggregate(self):
+        graph = replace(load(TWO_LAYER), costs={})
+        with pytest.raises(ShapeError, match=r"^no inferred cost for layer 'data'; run infer_shapes first$"):
+            aggregate(graph)
+
+    def test_layerwise_ai_stats(self):
+        graph = replace(load(TWO_LAYER), costs={})
+        with pytest.raises(ShapeError, match=r"^no inferred cost for layer 'c'; run infer_shapes first$"):
+            layerwise_ai_stats(graph)
 
 
 class TestFromReuse:

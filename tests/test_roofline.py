@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +79,12 @@ class TestHardwareSpec:
     def test_other_text_keeps_the_plain_message(self, value):
         with pytest.raises(InputError, match=r"^peak_bandwidth_bytes_per_s must be a finite number, got '[^']*'$"):
             load_hardware_spec(f"name: x\npeak_flops: 1.0e+12\npeak_bandwidth_bytes_per_s: {value}\n")
+
+    @pytest.mark.parametrize("value", ["1e999", "-2E+400", "1.5e309"])
+    def test_exponent_out_of_float_range_gets_no_hint(self, value):
+        # the suggested YAML 1.1 form would read as inf, which the loader refuses in turn
+        with pytest.raises(InputError, match=rf"^peak_flops must be a finite number, got {re.escape(repr(value))}$"):
+            load_hardware_spec(f"name: x\npeak_flops: {value}\npeak_bandwidth_bytes_per_s: 1.0e+11\n")
 
     def test_load_reports_syntax_position(self):
         with pytest.raises(InputError, match=r"^syntax error at line 3, column 1: "):

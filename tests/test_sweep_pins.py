@@ -1,0 +1,56 @@
+"""Exactness pins for the calibration sweep.
+
+`calibrate --format json` over a population built here is compared byte
+for byte with `tests/pins/calibrate-ties.json`, recorded before the sweep
+was restructured. The ratios are small integers, so the ratio-form
+profiles rebuild them exactly and many networks tie on DI, on M/W and on
+M/A; the measured efficiencies tie too. Every r_p and r_s must stay the
+same float.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import random
+
+from click.testing import CliRunner
+from hypothesis import given, strategies as st
+
+from dnnreuse.cli import main
+from dnnreuse.measure import MEASUREMENT_COLUMNS
+from dnnreuse.stats import _average_ranks
+from tests.oracles import tie_averaged_ranks
+
+PINS = pathlib.Path(__file__).resolve().parent / "pins"
+
+
+def tied_population(size: int = 300, seed: int = 8) -> tuple[str, str]:
+    """Ratio-form profile CSV and one-device measurement CSV with many ties."""
+    rng = random.Random(seed)
+    profiles = ["model,mc_over_w,mc_over_a,macs"]
+    measurements = [",".join(MEASUREMENT_COLUMNS)]
+    for i in range(size):
+        model = f"net{i:03d}"
+        weight_reuse, activation_reuse = rng.randint(5, 40), rng.randint(5, 25)
+        macs = rng.choice((10**8, 2 * 10**8, 5 * 10**8, 10**9))
+        profiles.append(f"{model},{weight_reuse},{activation_reuse},{macs}")
+        # efficiency grows with DI at alpha 0.8, rounded so that rows tie
+        latency = round(macs / 1e7 / (0.8 * activation_reuse + 0.2 * weight_reuse) * rng.choice((1, 1.5)), 1)
+        power = rng.choice((40.0, 50.0))
+        measurements.append(f"{model},P100,1,{power},{latency},224,224,")
+    return "\n".join(profiles) + "\n", "\n".join(measurements) + "\n"
+
+
+def test_calibrate_json_on_a_tied_population_is_pinned(tmp_path):
+    profiles, measurements = tied_population()
+    (tmp_path / "p.csv").write_text(profiles)
+    (tmp_path / "m.csv").write_text(measurements)
+    args = ["calibrate", "--profiles", str(tmp_path / "p.csv"), "--measurements", str(tmp_path / "m.csv")]
+    result = CliRunner().invoke(main, args + ["--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == (PINS / "calibrate-ties.json").read_text(encoding="utf-8")
+
+
+@given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 1e300, 7.25]), min_size=1, max_size=40))
+def test_average_ranks_match_the_tie_averaging_oracle(values):
+    assert _average_ranks(values) == tie_averaged_ranks(values)
