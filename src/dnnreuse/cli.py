@@ -60,7 +60,7 @@ def _guarded(func):
                 if isinstance(value, float):
                     finite(value, "--" + name.replace("_", "-"))
             return func(*args, **kwargs)
-        except (DegenerateDataError, InputError, OSError, UnicodeDecodeError, csv.Error) as exc:
+        except (DegenerateDataError, InputError, OSError, UnicodeDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3 if isinstance(exc, DegenerateDataError) else 2)
 

@@ -86,15 +86,23 @@ def load_document(text: str, error: type[Exception]):
 def read_rows(text: str):
     """(header, rows) of a CSV table: rows yields (number, fields) per non-blank data row, from row 2.
 
-    A data row not as wide as the header raises InputError when reached.
+    A data row not as wide as the header, or one the csv module cannot
+    read, raises InputError when reached; a header it cannot read, at once.
     """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise InputError(f"row 1: {exc}") from None
 
     def rows():
-        for number, fields in enumerate(filter(None, reader), start=2):
-            if len(fields) != len(header):
-                raise InputError(f"row {number}: expected {len(header)} fields, got {len(fields)}")
-            yield number, fields
+        number = 1  # the last row read
+        try:
+            for number, fields in enumerate(filter(None, reader), start=2):
+                if len(fields) != len(header):
+                    raise InputError(f"row {number}: expected {len(header)} fields, got {len(fields)}")
+                yield number, fields
+        except csv.Error as exc:
+            raise InputError(f"row {number + 1}: {exc}") from None
 
     return header, rows()

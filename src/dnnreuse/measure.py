@@ -64,8 +64,13 @@ def load_measurements(text: str) -> list[MeasurementRecord]:
     """Parse a measurements CSV; rejects bad headers, values, and duplicate keys."""
     header, rows = read_rows(text)
     if tuple(header) != MEASUREMENT_COLUMNS:
-        missing, surplus = set(MEASUREMENT_COLUMNS) - set(header), set(header) - set(MEASUREMENT_COLUMNS)
-        detail = [f"{what} columns {sorted(names)}" for what, names in (("missing", missing), ("unexpected", surplus)) if names]
+        missing = set(MEASUREMENT_COLUMNS) - set(header)
+        surplus = set(header) - set(MEASUREMENT_COLUMNS)
+        detail = []
+        if missing:
+            detail.append(f"missing columns {sorted(missing)}")
+        if surplus:
+            detail.append(f"unexpected columns {sorted(surplus)}")
         raise InputError("measurements header mismatch: " + "; ".join(detail or ["wrong column order"]))
 
     records = []

@@ -45,14 +45,10 @@ class DerivedMetrics:
     case_tag: CaseTag
 
 
-def _check_alpha(alpha: float):
+def intensity_at(alpha: float):
+    """DI at one alpha, as a function of (activation_reuse, weight_reuse)."""
     if not 0 <= alpha <= 1:
         raise InputError(f"alpha must lie in [0, 1], got {alpha}")
-
-
-def intensity_at(alpha: float = DEFAULT_ALPHA):
-    """DI at one alpha, as a function of (activation_reuse, weight_reuse)."""
-    _check_alpha(alpha)
     return lambda activation_reuse, weight_reuse: (alpha * activation_reuse + (1 - alpha) * weight_reuse) / 4
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import DegenerateDataError, InputError, finite
@@ -169,8 +169,16 @@ def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.0
         r_p = _correlation(_series(dis), efficiency)
         r_s = _correlation(_series(_average_ranks(dis)), efficiency_ranks)
         points.append(CalibrationPoint(alpha=alpha, r_p=r_p, r_s=r_s))
-    curve = CalibrationCurve(tuple(points), math.nan, {"rule": "plateau", "epsilon": epsilon})
-    return replace(curve, selected_alpha=select_alpha(curve, epsilon))
+    curve = CalibrationCurve(
+        points=tuple(points),
+        selected_alpha=math.nan,
+        selection_rule={"rule": "plateau", "epsilon": epsilon},
+    )
+    return CalibrationCurve(
+        points=curve.points,
+        selected_alpha=select_alpha(curve, epsilon),
+        selection_rule=curve.selection_rule,
+    )
 
 
 def select_alpha(curve: CalibrationCurve, epsilon: float = 0.005) -> float:

@@ -56,6 +56,22 @@ class TestReadRows:
             next(rows)
 
 
+    def test_a_header_the_csv_module_cannot_read_is_refused_at_once(self):
+        with pytest.raises(InputError, match="^row 1: field larger than field limit"):
+            read_rows("a" * 200_000 + ",b\n1,2\n")
+
+    def test_a_row_the_csv_module_cannot_read_is_refused_where_it_is_reached(self):
+        header, rows = read_rows("a,b\n1,2\n\n" + "1" * 200_000 + ",2\n3,4\n")
+        assert next(rows) == (2, ["1", "2"])
+        with pytest.raises(InputError, match="^row 3: field larger than field limit"):
+            next(rows)
+
+    @pytest.mark.parametrize("load", [load_measurements, load_profiles, load_power_samples])
+    def test_every_loader_raises_input_error_for_what_the_csv_module_cannot_read(self, load):
+        with pytest.raises(InputError, match="^row 1: field larger than field limit"):
+            load("x" * 200_000 + "\n")
+
+
 class TestRaggedRows:
     """A row wider than the header used to lose its extra fields; a short one failed on None."""
 
@@ -95,13 +111,13 @@ class TestRaggedRows:
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {path}: row 4: expected 2 fields, got 1\n"
 
-    def test_cell_over_the_csv_field_limit_exits_2(self, tmp_path):
+    def test_cell_over_the_csv_field_limit_exits_2_naming_the_file_and_row(self, tmp_path):
         # the csv module refuses a field over 131,072 characters; that used to end in a traceback (exit 1)
         path = tmp_path / "t.csv"
-        path.write_text("a,b\n" + "1" * 200_000 + ",2\n2,3\n3,4\n")
+        path.write_text("a,b\n1,2\n\n" + "1" * 200_000 + ",2\n3,4\n")
         result = CliRunner().invoke(main, ["stats", str(path), "--x", "a", "--y", "b"])
         assert result.exit_code == 2, result.output
-        assert result.stderr.startswith("error: field larger than field limit")
+        assert result.stderr.startswith(f"error: {path}: row 3: field larger than field limit")
 
     def test_bundled_tables_have_every_row_at_header_width(self):
         for name in ("measurements.csv", "reference_metrics.csv"):
