@@ -159,9 +159,9 @@ def layers(model, fmt):
 
 
 def _measurements_by_model(path: str, device, batch, macs: dict) -> dict:
-    """model -> its measurement row for this device (any if None) and batch.
+    """model -> (row, MAC count), for the model's measurement row for this device (any if None) and batch.
 
-    A row without a MAC count takes the model's count from `macs`, if any.
+    The count is the row's own, or else the model's count in `macs`, if any.
     """
     by_model = {}
     for rec in _parse_file(path, load_measurements):
@@ -170,7 +170,7 @@ def _measurements_by_model(path: str, device, batch, macs: dict) -> dict:
                 raise InputError(
                     f"ambiguous measurements for model {rec.model!r} (multiple devices?); pass --device to disambiguate"
                 )
-            by_model[rec.model] = rec if rec.macs is not None else dataclasses.replace(rec, macs=macs.get(rec.model))
+            by_model[rec.model] = rec, rec.macs if rec.macs is not None else macs.get(rec.model)
     return by_model
 
 
@@ -195,7 +195,7 @@ def calibrate(profiles_path, measurements_path, device, batch, step, epsilon, fm
     if parts:
         raise InputError("model keys do not join; " + "; ".join(parts))
     order = sorted(profiles)
-    efficiencies = [energy_efficiency(by_model[m]) for m in order]
+    efficiencies = [energy_efficiency(rec, macs) for rec, macs in map(by_model.get, order)]
     curve = alpha_sweep([profiles[m][0] for m in order], efficiencies, step=step, epsilon=epsilon)
     points = [dataclasses.asdict(p) for p in curve.points]  # alpha, r_p, r_s
     doc = {"points": points, "selected_alpha": curve.selected_alpha, "epsilon": epsilon, "n": len(order)}
@@ -235,9 +235,9 @@ def roofline(models, hw_path, profiles_path, metric, alpha, mode, bytes_per_elem
     if measurements_path is not None:
         ops_per_mac = flops_per_mac if mode == "converted" else 1.0
         by_model = _measurements_by_model(measurements_path, device, batch, {label: macs for label, _, macs in entries})
-        for label, rec in by_model.items():
-            if rec.macs is not None:
-                measured[label] = rec.batch * rec.macs * ops_per_mac / (rec.i_t_ms / 1000.0)
+        for label, (rec, macs) in by_model.items():
+            if macs is not None:
+                measured[label] = rec.batch * macs * ops_per_mac / (rec.i_t_ms / 1000.0)
     chart = roofline_points(
         hw, labelled, measured=measured, mode=mode, bytes_per_element=bytes_per_element, flops_per_mac=flops_per_mac
     )

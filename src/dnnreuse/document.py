@@ -8,6 +8,20 @@ and keeps YAML's error positions. YAML goes through libyaml
 pure-Python yaml.SafeLoader when it was not. Both report a syntax error
 at the same line and column; only the wording of the problem differs.
 
+The loader parses; the data is built here, straight from its events,
+without PyYAML's node tree. PyYAML's composer and constructor call back
+into Python several times per node, and those calls took most of the
+load time. A plain scalar is typed by the loader's own resolver and
+constructor, once per distinct text in a document. Whatever this
+builder does not handle the way PyYAML does goes back to PyYAML whole:
+it stops, and the text is loaded again with yaml.load, at a document
+that has an anchor or an alias, an explicit tag on a collection, a
+scalar tag without a constructor (as the merge key `<<` and the value
+key `=` have), a collection as a key, a scalar whose constructor
+raises, no document or a second document. So every result and every
+error is PyYAML's; a constructor's error still comes only after the
+whole document has been parsed. No bundled document takes that path.
+
 JSON and YAML 1.1 read one number form differently: an unquoted `1e3`
 is the float 1000.0 in JSON and the string '1e3' in YAML 1.1, which
 takes a float only with a dot and a signed exponent (`1.0e+3`).
@@ -18,8 +32,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from types import GeneratorType
 
 import yaml
+from yaml.events import CollectionEndEvent, MappingStartEvent, ScalarEvent, StreamEndEvent
+from yaml.nodes import ScalarNode
 
 from .errors import InputError
 
@@ -28,6 +45,8 @@ from .errors import InputError
 # nested some tens of thousands of levels overflows the stack and kills
 # the process instead of raising; this limit stops both loaders far short.
 MAX_DEPTH = 100
+
+_STR_TAG = "tag:yaml.org,2002:str"
 
 
 class _DepthLimited:
@@ -64,6 +83,79 @@ else:  # pragma: no cover - PyYAML built without libyaml
     _LOADER = _PythonLoader
 
 
+class _Defer(Exception):
+    """The document needs PyYAML's own composer and constructor."""
+
+
+def _build(loader):
+    """The data of the one document in the loader's event stream.
+
+    Raises _Defer where the result or the error is left to yaml.load,
+    RecursionError at the first node deeper than MAX_DEPTH (the node
+    _DepthLimited stops at), and the loader's own error for a text that
+    does not parse.
+    """
+    get_event = loader.get_event
+    resolve = loader.resolve
+    constructors = loader.yaml_constructors
+    plain = {}  # (text, implicit) -> value, for the scalars without an explicit tag
+    stack = []  # the open collections, innermost last
+
+    def construct(tag, event):
+        if tag == _STR_TAG:
+            return event.value
+        try:
+            value = constructors[tag](loader, ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style))
+        except Exception:  # no constructor, or one that fails: yaml.load fails too, once all is composed
+            raise _Defer from None
+        if isinstance(value, GeneratorType):  # a collection's constructor, which refuses a scalar later
+            raise _Defer
+        return value
+
+    def node(event):
+        """The value of the node that `event` starts: a scalar's data, or a new collection, open on `stack`."""
+        cls = event.__class__
+        if event.anchor is not None:  # an anchor, or an alias (whose anchor is never None)
+            raise _Defer
+        if len(stack) >= MAX_DEPTH:  # this node would nest MAX_DEPTH + 1 deep
+            raise RecursionError
+        if cls is ScalarEvent:
+            tag = event.tag
+            if tag is not None and tag != "!":
+                return construct(tag, event)
+            key = (event.value, event.implicit)
+            if key not in plain:
+                plain[key] = construct(resolve(ScalarNode, event.value, event.implicit), event)
+            return plain[key]
+        if event.tag is not None:
+            raise _Defer
+        collection = {} if cls is MappingStartEvent else []
+        stack.append(collection)
+        return collection
+
+    get_event()  # StreamStartEvent
+    if loader.check_event(StreamEndEvent):  # no document
+        raise _Defer
+    get_event()  # DocumentStartEvent
+    root = node(get_event())
+    while stack:
+        top = stack[-1]
+        event = get_event()
+        if isinstance(event, CollectionEndEvent):
+            stack.pop()
+        elif top.__class__ is list:
+            top.append(node(event))
+        elif event.__class__ is ScalarEvent:
+            key = node(event)
+            top[key] = node(get_event())
+        else:  # a collection or an alias as a key
+            raise _Defer
+    get_event()  # DocumentEndEvent
+    if not loader.check_event(StreamEndEvent):  # a second document
+        raise _Defer
+    return root
+
+
 def load_document(text: str, error: type[Exception]):
     """The JSON or YAML document in `text`; any failure raises `error` with a position if known."""
     try:
@@ -72,6 +164,13 @@ def load_document(text: str, error: type[Exception]):
                 return json.loads(text)
             except json.JSONDecodeError:
                 pass  # not JSON: flow-style YAML, or a typo YAML reports with its own position
+        loader = _LOADER(text)
+        try:
+            return _build(loader)
+        except _Defer:
+            pass
+        finally:
+            loader.dispose()
         return yaml.load(text, Loader=_LOADER)
     except RecursionError:
         raise error("document nests too deeply") from None
@@ -81,6 +180,8 @@ def load_document(text: str, error: type[Exception]):
         raise error(f"syntax error at {where}: {exc.problem or exc}") from exc
     except yaml.YAMLError as exc:
         raise error(f"syntax error: {exc}") from exc
+    except (LookupError, ValueError) as exc:  # a scalar constructor's own failure, as for `!!int abc`
+        raise error(f"bad value: {type(exc).__name__}: {exc}") from None
 
 
 def read_rows(text: str):

@@ -34,3 +34,8 @@ def finite(value, what: str):
     if not in_range or isinstance(value, bool):
         raise InputError(f"{what} must be a finite number, got {reprlib.repr(value)}")
     return value
+
+
+def sorted_keys(keys) -> list:
+    """Mapping keys in the order of their text, which orders keys of mixed types too (YAML allows `1:`)."""
+    return sorted(keys, key=lambda key: (str(key), repr(key)))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .document import load_document
-from .errors import InputError
+from .errors import _FLOAT_MAX, InputError, sorted_keys
 
 
 class ModelError(InputError):
@@ -177,6 +177,8 @@ def _expect_mapping(value, what):
 def _positive_int(value, what, minimum=1):
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ModelSyntaxError(f"{what} must be an integer >= {minimum}, got {reprlib.repr(value)}")
+    if value > _FLOAT_MAX:  # refused as errors.finite refuses every other number beyond float range
+        raise ModelSyntaxError(f"{what} must be within float range, got {reprlib.repr(value)}")
     return value
 
 
@@ -184,7 +186,7 @@ def _parse_input_shape(doc) -> TensorShape:
     raw = _expect_mapping(doc.get("input"), "top-level `input`")
     extra = set(raw) - {"channels", "h", "w"}
     if extra:
-        raise ModelSyntaxError(f"unknown input fields: {sorted(extra)}")
+        raise ModelSyntaxError(f"unknown input fields: {sorted_keys(extra)}")
     return TensorShape(
         _positive_int(raw.get("channels"), "input.channels"),
         _positive_int(raw.get("h"), "input.h"),
@@ -208,7 +210,7 @@ def _parse_layer(raw, position) -> LayerSpec:
     known = {"name", "kind", "inputs", "in_place"} | set(schema)
     extra = set(raw) - known
     if extra:
-        raise ModelSyntaxError(f"layer {name!r}: unknown fields for kind {kind}: {sorted(extra)}")
+        raise ModelSyntaxError(f"layer {name!r}: unknown fields for kind {kind}: {sorted_keys(extra)}")
 
     params = {}
     for key, (required, default, minimum) in schema.items():
@@ -244,7 +246,7 @@ def parse_model(text: str, name: str | None = None) -> ModelGraph:
     doc = _expect_mapping(load_document(text, ModelSyntaxError), "model document")
     extra = set(doc) - {"name", "input", "layers"}
     if extra:
-        raise ModelSyntaxError(f"unknown top-level fields: {sorted(extra)}")
+        raise ModelSyntaxError(f"unknown top-level fields: {sorted_keys(extra)}")
     if "name" in doc and (not isinstance(doc["name"], str) or not doc["name"]):
         raise ModelSyntaxError("top-level `name` must be a non-empty string")
 

@@ -150,11 +150,13 @@ def epp(record: MeasurementRecord, per_frame: bool = False) -> float:
     return value / record.batch if per_frame else value
 
 
-def energy_efficiency(record: MeasurementRecord) -> float:
-    """MACs per joule: batch * macs / (P_avg * I_t)."""
-    if record.macs is None:
+def energy_efficiency(record: MeasurementRecord, macs: float | None = None) -> float:
+    """MACs per joule: batch * macs / (P_avg * I_t), with the record's own MAC count unless `macs` is given."""
+    if macs is None:
+        macs = record.macs
+    if macs is None:
         raise InputError(f"record {record.model!r} has no MAC count; efficiency undefined")
-    return record.batch * record.macs / (record.p_avg_w * record.i_t_ms / 1000.0)
+    return record.batch * macs / (record.p_avg_w * record.i_t_ms / 1000.0)
 
 
 def energy_metrics(record: MeasurementRecord, per_frame: bool = False) -> EnergyMetrics:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .document import load_document
-from .errors import InputError, finite
+from .errors import InputError, finite, sorted_keys
 
 HARDWARE_KEYS = ("name", "peak_flops", "peak_bandwidth_bytes_per_s")
 
@@ -69,9 +69,9 @@ def load_hardware_spec(text: str) -> HardwareSpec:
         raise InputError("hardware spec must be a mapping")
     if "cmr" in doc:
         raise InputError("cmr is derived from the peaks, do not state it in the spec")
-    unknown = sorted(set(doc) - set(HARDWARE_KEYS))
+    unknown = sorted_keys(set(doc) - set(HARDWARE_KEYS))
     if unknown:
-        raise InputError(f"unknown hardware fields: {', '.join(unknown)}")
+        raise InputError(f"unknown hardware fields: {', '.join(map(str, unknown))}")
     missing = [k for k in HARDWARE_KEYS if k not in doc]
     if missing:
         raise InputError(f"hardware spec missing fields: {', '.join(missing)}")

@@ -6,11 +6,15 @@ import json
 import pathlib
 
 import pytest
+import yaml
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dnnreuse import layercost
 from dnnreuse.cli import main
 from dnnreuse.graph import parse_model
+
+from conftest import NEGATIVE, assert_exit_2
 
 TINY_MODEL = """\
 name: tiny
@@ -22,6 +26,8 @@ layers:
   - {name: r1, kind: relu, inputs: [c1]}
   - {name: fc, kind: fc, inputs: [r1], out_features: 10}
 """
+
+HW_SPEC = "name: x\npeak_flops: 1.0e+12\npeak_bandwidth_bytes_per_s: 1.0e+11\n"
 
 POOL_ONLY = """\
 input: {channels: 3, h: 8, w: 8}
@@ -394,6 +400,131 @@ class TestNonFiniteInputs:
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1,1\nnan,2\n3,4\n4,3\n")
         self.fails_with_exit_2(runner, ["stats", str(path), "--x", "a", "--y", "b"])
+
+
+class TestScalarConstructorErrors:
+    """A scalar that PyYAML's constructor cannot type used to end in a traceback and exit 1."""
+
+    CASES = [
+        ("2001-13-45", "ValueError"),
+        ('!!int ""', "IndexError"),
+        ("!!int abc", "ValueError"),
+        ("!!float x", "ValueError"),
+        ("!!bool maybe", "KeyError"),
+    ]
+
+    @pytest.mark.parametrize("value, kind", CASES)
+    def test_model_document(self, runner, tmp_path, value, kind):
+        path = tmp_path / "t.yaml"
+        path.write_text(f"name: {value}\n")
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {path}: bad value: {kind}: ")
+
+    @pytest.mark.parametrize("value, kind", CASES)
+    def test_hardware_spec(self, runner, tmp_path, model_dir, value, kind):
+        path = tmp_path / "hw.yaml"
+        path.write_text(HW_SPEC.replace("name: x", f"name: {value}"))
+        result = runner.invoke(main, ["roofline", "--hw", str(path), str(model_dir / "nin.yaml")])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {path}: bad value: {kind}: ")
+
+
+class TestMixedTypeKeys:
+    """An int key beside an unknown str key used to crash the sort of the unknown fields (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (TINY_MODEL + "1: x\nfoo: y\n", "unknown top-level fields: [1, 'foo']"),
+            (TINY_MODEL.replace("w: 8}", "w: 8, 1: x, foo: y}"), "unknown input fields: [1, 'foo']"),
+            (
+                TINY_MODEL.replace("inputs: [c1]}", "inputs: [c1], 1: x, foo: y}"),
+                "layer 'r1': unknown fields for kind relu: [1, 'foo']",
+            ),
+            (TINY_MODEL + "1: x\n'1': y\n", "unknown top-level fields: ['1', 1]"),  # equal text, ordered by repr
+        ],
+    )
+    def test_model_document(self, runner, tmp_path, text, message):
+        path = tmp_path / "t.yaml"
+        path.write_text(text)
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {path}: {message}\n"
+
+    def test_hardware_spec(self, runner, tmp_path, model_dir):
+        path = tmp_path / "hw.yaml"
+        path.write_text(HW_SPEC + "1: x\nfoo: y\n")
+        result = runner.invoke(main, ["roofline", "--hw", str(path), str(model_dir / "nin.yaml")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {path}: unknown hardware fields: 1, foo\n"
+
+
+# integers beyond float range, the last also beyond the digit limit of int()
+HUGE = ["1" + "0" * 400, "9" * 320, "1" + "0" * 5000]
+BAD_VALUES = {
+    "yaml": st.one_of(
+        NEGATIVE,
+        st.sampled_from(
+            [".nan", ".NaN", ".inf", "-.inf", "1.0e+999", "1e999", "''", "", "~", *HUGE]
+            + [value for value, _ in TestScalarConstructorErrors.CASES]
+        ),
+    ),
+    "json": st.one_of(NEGATIVE, st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999", '""', "null", *HUGE])),
+}
+PLACEHOLDER = "@@"
+
+
+def document_with(doc: dict, form: str, value: str) -> str:
+    """`doc` as YAML or JSON text, with `value` written as it is where `doc` holds PLACEHOLDER."""
+    if form == "json":
+        return json.dumps(doc).replace(f'"{PLACEHOLDER}"', value)
+    return yaml.safe_dump(doc, sort_keys=False).replace(f"'{PLACEHOLDER}'", value)
+
+
+@st.composite
+def bad_model(draw):
+    """(form, text): TINY_MODEL, its conv given `groups`, with one integer field holding a bad value."""
+    doc = yaml.safe_load(TINY_MODEL)
+    doc["layers"][1]["groups"] = 1
+    fields = [(doc["input"], key) for key in doc["input"]] + [
+        (layer, key) for layer in doc["layers"] for key, value in layer.items() if isinstance(value, int)
+    ]
+    where, key = draw(st.sampled_from(fields))
+    where[key] = PLACEHOLDER
+    form = draw(st.sampled_from(sorted(BAD_VALUES)))
+    return form, document_with(doc, form, draw(BAD_VALUES[form]))
+
+
+@st.composite
+def bad_hardware_spec(draw):
+    """(form, text): HW_SPEC with one peak holding a bad value."""
+    doc = yaml.safe_load(HW_SPEC)
+    doc[draw(st.sampled_from(["peak_flops", "peak_bandwidth_bytes_per_s"]))] = PLACEHOLDER
+    form = draw(st.sampled_from(sorted(BAD_VALUES)))
+    return form, document_with(doc, form, draw(BAD_VALUES[form]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=bad_model())
+def test_bad_number_in_any_model_field_exits_2(tmp_path, hardware_dir, case):
+    form, text = case
+    path = tmp_path / f"m.{form}"
+    path.write_text(text)
+    assert_exit_2(["analyze", str(path)])
+    assert_exit_2(["layers", str(path)])
+    assert_exit_2(["roofline", "--hw", str(hardware_dir / "p100.yaml"), str(path)])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=bad_hardware_spec())
+def test_bad_number_in_a_hardware_peak_exits_2(tmp_path, model_dir, case):
+    form, text = case
+    path = tmp_path / f"hw.{form}"
+    path.write_text(text)
+    assert_exit_2(["roofline", "--hw", str(path), str(model_dir / "nin.yaml")])
 
 
 class TestFloatOptions:

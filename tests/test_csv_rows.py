@@ -19,7 +19,7 @@ from dnnreuse.errors import InputError
 from dnnreuse.measure import MEASUREMENT_COLUMNS, load_measurements, load_power_samples
 from dnnreuse.netprofile import load_profiles
 
-from conftest import FIXTURES
+from conftest import FIXTURES, NEGATIVE, assert_exit_2
 
 HW = str(FIXTURES / "hardware" / "p100.yaml")
 MEASUREMENTS = [",".join(MEASUREMENT_COLUMNS)] + [
@@ -125,10 +125,6 @@ class TestRaggedRows:
             assert all(len(fields) == len(header) for _, fields in rows)
 
 
-NEGATIVE = st.one_of(
-    st.integers(max_value=-1).map(str),
-    st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=False).map(repr),
-)
 # out of float range: inf as a float, and an integer too large to become one
 HUGE = st.sampled_from(["1e999", "-1e999", "1" + "0" * 400, "9" * 320 + ".5"])
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"])
@@ -154,13 +150,6 @@ def with_cell(table: str, column: str, row: int, value: str, tables=TABLES) -> s
     fields[lines[0].split(",").index(column)] = value
     lines[row] = ",".join(fields)
     return text(lines)
-
-
-def assert_exit_2(args):
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 2, (args, result.output, result.exception)
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: ")
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dnnreuse import document
 from dnnreuse.graph import (
@@ -276,6 +276,110 @@ class TestLoader:
         )
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ") and "nests too deeply" in result.stderr
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.text(max_size=6),
+    # texts that YAML 1.1 types, or that read as syntax when unquoted
+    st.sampled_from(["", "~", "yes", "0x1F", "0o17", "1_000", "1:20", "2001-12-14", "1e3", "1.0e+3", ".NaN", "<<", "=", "!", "&a", "- x", "a: b"]),
+)
+KEYS = st.one_of(st.text(max_size=6), st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False))
+TREES = st.recursive(
+    SCALARS, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(KEYS, kids, max_size=4), max_leaves=20
+)
+# lines PyYAML reads in its own way, or refuses: each is built by yaml.load, never by the builder
+SPLICES = [
+    "k: &a [1, {b: 2}]", "j: *a", "- *a", "- &a x", "<<: {m: 1}", "<<: [{m: 1}, {n: 2}]", "=: v", "v: =", "- <<",
+    "t: !!str 12", "t: !!int '7'", "t: !!float 3", "t: !!binary aGk=", "t: !!timestamp 2001-12-14", "t: ! 12",
+    "t: !!null x", "t: !!map {a: 1}", "t: !!seq [1]", "t: !!set {a, b}", "t: !!omap [{a: 1}]", "t: !custom x",
+    "t: !!int abc", "t: !!int ''", "t: !!bool maybe", "t: !!float x", "t: 2001-13-45", "t: !!str [1]",
+    "t: !!map x", "t: !!seq x", "t: !!set x", "t: !!omap x", "t: !!pairs x", "t: !!set {a: 1}", "t: !!omap [{a: 1}]",
+    "? [1, 2]\n: v", "? {a: 1}\n: v", "---", "--- x", "...", "x", "- ", "",
+]
+
+
+@st.composite
+def documents(draw):
+    """A dumped mapping with up to three SPLICES lines, or `[` nests about MAX_DEPTH deep, put in.
+
+    A line goes between two top-level keys, where it is one more entry of
+    a block mapping, or anywhere, indented as the line it goes before.
+    """
+    data = draw(TREES)
+    root = {"x": data, "y": data} if draw(st.booleans()) else {"x": data}  # shared: an anchor and an alias
+    lines = yaml.safe_dump(root, default_flow_style=draw(st.sampled_from([False, True, None])), sort_keys=False).splitlines()
+    entries = [i for i, line in enumerate(lines) if line[:1] not in (" ", "-", "{", "[")] + [len(lines)]
+    depth = st.integers(document.MAX_DEPTH - 6, document.MAX_DEPTH + 2).map(lambda n: "d: " + "[" * n + "]" * n)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from(entries) | st.integers(0, len(lines)))
+        indent = lines[at][: len(lines[at]) - len(lines[at].lstrip())] if at < len(lines) else ""
+        lines.insert(at, indent + draw(st.sampled_from(SPLICES) | depth))
+        entries = [i + (i >= at) for i in entries]
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(["", "# no document\n"]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def edited_fixtures(draw):
+    """A bundled document with up to four YAML tokens written over or in between its characters."""
+    text = draw(st.sampled_from(["alexnet.yaml", "nin.yaml"]))
+    text = (pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "models" / text).read_text()
+    tokens = st.sampled_from([":", "- ", "[", "]", "{", "}", ",", "&a ", "*a", "!!int ", "<<: ", "\n", " ", "'", "#", "---\n", "? ", "=", "2001-13-45"])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(tokens) + text[at + draw(st.integers(0, 2)):]
+    return text
+
+
+def outcome(text):
+    """What load_document makes of `text`: the repr of its data, or the type and message of its error."""
+    try:
+        return repr(document.load_document(text, ModelSyntaxError))
+    except Exception as exc:  # compared, whatever it is
+        return type(exc), str(exc)
+
+
+def pyyaml_outcome(text, monkeypatch):
+    """outcome(text) with every YAML document deferred to yaml.load."""
+
+    def defer(loader):
+        raise document._Defer
+
+    with monkeypatch.context() as patch:
+        patch.setattr(document, "_build", defer)
+        return outcome(text)
+
+
+class TestBuilder:
+    """The builder returns what yaml.load returns and raises what it raises, under either loader."""
+
+    def test_every_bundled_document_is_built_without_deferring(self, monkeypatch, model_dir, hardware_dir):
+        # what defers is the document's content, which both parsers report alike; libyaml is the faster
+        paths = sorted(model_dir.glob("*.yaml")) + sorted(hardware_dir.glob("*.yaml"))
+        assert len(paths) == 27
+        expected = [yaml.load(path.read_text(), Loader=document._LOADER) for path in paths]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("deferred to yaml.load")
+
+        monkeypatch.setattr(yaml, "load", refuse)
+        for path, data in zip(paths, expected):
+            assert document.load_document(path.read_text(), ModelSyntaxError) == data, path.name
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=documents())
+    def test_generated_documents(self, yaml_loader, monkeypatch, text):
+        assert outcome(text) == pyyaml_outcome(text, monkeypatch)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=edited_fixtures())
+    def test_edited_fixtures(self, yaml_loader, monkeypatch, text):
+        assert outcome(text) == pyyaml_outcome(text, monkeypatch)
 
 
 class TestRoundTrip:

@@ -125,6 +125,12 @@ class TestEnergyEfficiency:
         with pytest.raises(InputError, match="MAC"):
             energy_efficiency(r)
 
+    def test_a_count_given_stands_in_for_the_records_own(self):
+        r = MeasurementRecord("m", "d", 2, 10.0, 100.0, 8, 8)
+        assert energy_efficiency(r, 1e9) == energy_efficiency(MeasurementRecord("m", "d", 2, 10.0, 100.0, 8, 8, macs=1e9))
+        with pytest.raises(InputError, match="^record 'm' has no MAC count; efficiency undefined$"):
+            energy_efficiency(r, None)
+
     @settings(max_examples=200, deadline=None)
     @given(b=st.integers(1, 32), macs=st.floats(1e6, 1e12))
     def test_invariant_under_batch_doubling_with_macs_halving(self, b, macs):
