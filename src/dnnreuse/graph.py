@@ -12,6 +12,9 @@ A model document is YAML (JSON works too) with the shape
 
 Exactly one layer has kind "input"; its shape comes from the top-level
 `input` mapping. Edges are implied by each layer's `inputs` list.
+parse_model maps a document to layers and fills each kind's defaults;
+ModelGraph checks the layers, parsed or built by hand: each kind's
+parameters, the in-place flag, names and edges (see topo_order).
 
 dnnreuse.document loads the text: a document starting with `{` is read
 by json.loads, falling back to YAML if it is not JSON, and YAML is read
@@ -23,9 +26,10 @@ the form matters only as a name, which must be a string in JSON.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import reprlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import yaml
 
@@ -64,22 +68,23 @@ class ShapeError(ModelError):
 LAYER_KINDS = ("input", "conv", "fc", "pool", "relu", "batchnorm", "add", "concat")
 IN_PLACE_KINDS = ("relu", "batchnorm")
 
-# Parameter schema per kind: {param: (required, default, minimum)}.
+# Parameter schema per kind: {param: (document default, minimum)}; a default of None means required.
 _CONV_PARAMS = {
-    "out_channels": (True, None, 1),
-    "kernel_h": (True, None, 1),
-    "kernel_w": (True, None, 1),
-    "stride_h": (False, 1, 1),
-    "stride_w": (False, 1, 1),
-    "pad_h": (False, 0, 0),
-    "pad_w": (False, 0, 0),
-    "groups": (False, 1, 1),
+    "out_channels": (None, 1),
+    "kernel_h": (None, 1),
+    "kernel_w": (None, 1),
+    "stride_h": (1, 1),
+    "stride_w": (1, 1),
+    "pad_h": (0, 0),
+    "pad_w": (0, 0),
+    "groups": (1, 1),
 }
+_LAYER_FIELDS = ("name", "kind", "inputs", "in_place")  # the document fields that are not parameters
 _POOL_PARAMS = {k: v for k, v in _CONV_PARAMS.items() if k not in ("out_channels", "groups")}
 _PARAM_SCHEMA = {
     "input": {},
     "conv": _CONV_PARAMS,
-    "fc": {"out_features": (True, None, 1)},
+    "fc": {"out_features": (None, 1)},
     "pool": _POOL_PARAMS,
     "relu": {},
     "batchnorm": {},
@@ -107,27 +112,17 @@ class TensorShape:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One node of the layer graph, as written in the document."""
+    """One node of the layer graph; `params` holds every parameter of its kind.
+
+    `in_place` (relu and batchnorm only) means the layer writes into its
+    producer's storage and produces no tensor of its own.
+    """
 
     name: str
     kind: str
     inputs: tuple[str, ...] = ()
     params: dict = field(default_factory=dict)
     in_place: bool = False
-
-    @property
-    def aliases_input(self) -> bool:
-        """True when the layer writes into its producer's storage, producing no tensor."""
-        return self.in_place and self.kind in IN_PLACE_KINDS
-
-    def check_groups(self, in_channels: int) -> int:
-        """Groups of this conv, after checking they divide both channel counts."""
-        n, g = self.params["out_channels"], self.params["groups"]
-        if g < 1 or in_channels % g or n % g:
-            raise ShapeError(
-                f"layer {self.name!r}: groups {g} must divide input channels {in_channels} and out_channels {n}"
-            )
-        return g
 
 
 @dataclass(frozen=True)
@@ -203,34 +198,30 @@ def _parse_layer(raw, position) -> LayerSpec:
     inputs = raw.get("inputs", [])
     if not isinstance(inputs, list) or not all(isinstance(i, str) for i in inputs):
         raise ModelSyntaxError(f"layer {name!r}: `inputs` must be a list of layer names")
-    if kind not in LAYER_KINDS:  # no schema to map; ModelGraph names the kind
-        return LayerSpec(name=name, kind=kind, inputs=tuple(inputs))
-
-    schema = _PARAM_SCHEMA[kind]
-    known = {"name", "kind", "inputs", "in_place"} | set(schema)
-    extra = set(raw) - known
-    if extra:
-        raise ModelSyntaxError(f"layer {name!r}: unknown fields for kind {kind}: {sorted_keys(extra)}")
-
-    params = {}
-    for key, (required, default, minimum) in schema.items():
-        if key in raw:
-            params[key] = _positive_int(raw[key], f"layer {name!r}: {key}", minimum)
-        elif required:
-            raise ModelSyntaxError(f"layer {name!r}: kind {kind} requires `{key}`")
-        else:
-            params[key] = default
-
+    schema = _PARAM_SCHEMA[kind] if kind in LAYER_KINDS else {}  # a kind may be any value, even unhashable
+    params = {key: raw.get(key, default) for key, (default, _) in schema.items() if key in raw or default is not None}
+    params.update({key: value for key, value in raw.items() if key not in params and key not in _LAYER_FIELDS})
     in_place = raw.get("in_place")
-    if in_place is not None:
-        if kind not in IN_PLACE_KINDS:
-            raise ModelSyntaxError(f"layer {name!r}: in_place only applies to relu/batchnorm")
-        if not isinstance(in_place, bool):
-            raise ModelSyntaxError(f"layer {name!r}: in_place must be a boolean")
-    else:
+    if in_place is None:  # absent or null: the kind's default
         in_place = kind in IN_PLACE_KINDS
-
     return LayerSpec(name=name, kind=kind, inputs=tuple(inputs), params=params, in_place=in_place)
+
+
+def _check_fields(spec: LayerSpec) -> None:
+    """Refuse a layer's parameters outside its kind's schema, and an in_place flag it may not carry."""
+    schema = _PARAM_SCHEMA[spec.kind]
+    where = f"layer {spec.name!r}: "  # formatted once per layer, not once per parameter
+    extra = spec.params.keys() - schema.keys()
+    if extra:
+        raise ModelSyntaxError(f"{where}unknown fields for kind {spec.kind}: {sorted_keys(extra)}")
+    for key, (_, minimum) in schema.items():
+        if key not in spec.params:
+            raise ModelSyntaxError(f"{where}kind {spec.kind} requires `{key}`")
+        _positive_int(spec.params[key], where + key, minimum)
+    if spec.in_place is not False and spec.kind not in IN_PLACE_KINDS:
+        raise ModelSyntaxError(f"{where}in_place only applies to relu/batchnorm")
+    if not isinstance(spec.in_place, bool):
+        raise ModelSyntaxError(f"{where}in_place must be a boolean")
 
 
 # Length of the `inputs` list per kind as (min, max); every kind not listed takes exactly one.
@@ -288,12 +279,16 @@ def serialize_model(graph: ModelGraph) -> str:
 def topo_order(graph: ModelGraph) -> list[LayerSpec]:
     """Layers ordered so producers precede consumers, after checking them.
 
-    Refuses an unknown kind, a repeated name, other than exactly one
-    input layer, a wrong number of inputs, an input naming no layer, and
-    a cycle. Ties are broken by declaration order, which keeps every
-    report and golden file deterministic.
+    Refuses, each over all layers in turn: fields a layer's kind does not
+    allow (_check_fields), an unknown kind, a repeated name, other than
+    exactly one input layer, a wrong number of inputs, an input naming
+    no layer, and a cycle. Ties are broken by declaration order, which
+    keeps every report and golden file deterministic.
     """
     layers = graph.layers
+    for spec in layers:
+        if spec.kind in LAYER_KINDS:
+            _check_fields(spec)
     position: dict[str, int] = {}
     for i, spec in enumerate(layers):
         if spec.kind not in LAYER_KINDS:
@@ -373,5 +368,11 @@ def infer_shapes(graph: ModelGraph) -> ModelGraph:
                 raise ShapeError(f"layer {spec.name!r}: concat operands disagree on spatial dims")
             out = TensorShape(sum(s.channels for s in ins), ins[0].height, ins[0].width)
         shapes[spec.name] = out
-        costs[spec.name] = layer_cost(spec, ins, out)
-    return replace(graph, shapes=shapes, costs=costs)
+        costs[spec.name] = cost = layer_cost(spec, ins, out)
+        # refused here, so every command refuses it alike
+        if cost.macs > _FLOAT_MAX or cost.weights > _FLOAT_MAX or cost.activations > _FLOAT_MAX:
+            what, count = max(vars(cost).items(), key=lambda item: item[1])
+            raise ShapeError(f"layer {spec.name!r}: {what} must be within float range, got {reprlib.repr(count)}")
+    annotated = copy.copy(graph)  # the layers are checked and ordered already; replace() would redo both
+    vars(annotated).update(shapes=shapes, costs=costs)
+    return annotated

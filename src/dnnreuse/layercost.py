@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import LayerSpec, TensorShape
+from .graph import LayerSpec, ShapeError, TensorShape
 
 CONV_FAMILIES = ("standard", "pointwise", "group", "depthwise")
 
@@ -43,8 +43,9 @@ class LayerCost:
 def conv_cost(in_shape: TensorShape, spec: LayerSpec, out_shape: TensorShape) -> LayerCost:
     """Grouped-convolution cost; g=1 standard, kernel 1x1 pointwise, g=M=N depthwise."""
     m = in_shape.channels
-    n = spec.params["out_channels"]
-    g = spec.check_groups(m)
+    n, g = spec.params["out_channels"], spec.params["groups"]
+    if g < 1 or m % g or n % g:
+        raise ShapeError(f"layer {spec.name!r}: groups {g} must divide input channels {m} and out_channels {n}")
     kh, kw = spec.params["kernel_h"], spec.params["kernel_w"]
     if out_shape.channels != n:
         raise InputError(f"output shape carries {out_shape.channels} channels, conv produces {n}")
@@ -87,7 +88,7 @@ def layer_cost(spec: LayerSpec, in_shapes, out_shape: TensorShape) -> LayerCost:
         return conv_cost(in_shapes[0], spec, out_shape)
     if spec.kind == "fc":
         return fc_cost(in_shapes[0].element_count(), spec.params["out_features"])
-    return nonconv_cost(spec.kind, in_shapes, out_shape, spec.aliases_input)
+    return nonconv_cost(spec.kind, in_shapes, out_shape, spec.in_place)
 
 
 def closed_form_ai(family: str, m: int, n: int, s_k: int, s_o: int, g: int = 1) -> dict:

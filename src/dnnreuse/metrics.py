@@ -85,9 +85,10 @@ def classify_case(profile: NetworkProfile, tau_low: float = TAU_LOW, tau_high: f
 
 
 def reuse_bound_holds(profile: NetworkProfile, tolerance: float = 1e-9) -> tuple[bool, float]:
-    """AI_c never exceeds (M_c/A + M_c/W)/4; returns (holds, slack)."""
-    slack = (profile.activation_reuse + profile.weight_reuse) / 4 - profile.ai_c
-    return slack >= -tolerance, slack
+    """AI_c never exceeds (M_c/A + M_c/W)/4; returns (holds, slack), `tolerance` relative to the bound."""
+    bound = (profile.activation_reuse + profile.weight_reuse) / 4
+    slack = bound - profile.ai_c
+    return slack >= -tolerance * bound, slack
 
 
 def automl_metric(profile: NetworkProfile, alpha: float = DEFAULT_ALPHA, k: float = 0.5) -> float:

@@ -143,7 +143,7 @@ def aggregate(graph: ModelGraph) -> NetworkProfile:
         # Count each produced tensor once. In-place layers reuse their
         # producer's storage; everything else, the input included,
         # contributes exactly its output elements.
-        if not spec.aliases_input:
+        if not spec.in_place:
             activations += produced
     return NetworkProfile(
         macs=macs,
@@ -182,14 +182,14 @@ def peak_concurrent_activations(graph: ModelGraph) -> int:
     root = {}
     last_use = {}
     for step, spec in enumerate(graph.layers):
-        root[spec.name] = root[spec.inputs[0]] if spec.aliases_input else spec.name
+        root[spec.name] = root[spec.inputs[0]] if spec.in_place else spec.name
         for name in (spec.name, *spec.inputs):
             last_use[root[name]] = step
 
     # each tensor enters the running sum at its step and leaves one step after its last use
     delta = [0] * (len(graph.layers) + 1)
     for step, spec in enumerate(graph.layers):
-        if not spec.aliases_input:
+        if not spec.in_place:
             size = graph.output_shape(spec.name).element_count()
             delta[step] += size
             delta[last_use[spec.name] + 1] -= size

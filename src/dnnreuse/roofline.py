@@ -112,6 +112,15 @@ def _conversion(mode: str, bytes_per_element: float, flops_per_mac: float) -> fl
     return factor
 
 
+def _place(hw: HardwareSpec, factor: float, intensity: float) -> tuple[float, Bound]:
+    """attainable_throughput and classify of one intensity, converted by `factor`."""
+    if finite(intensity, "intensity") <= 0:
+        raise InputError(f"intensity must be positive, got {intensity}")
+    ops_per_byte = intensity * factor
+    attainable = min(hw.peak_throughput, ops_per_byte * hw.peak_bandwidth)
+    return attainable, Bound.COMPUTE if ops_per_byte >= hw.cmr else Bound.MEMORY
+
+
 def attainable_throughput(
     hw: HardwareSpec,
     intensity: float,
@@ -120,10 +129,7 @@ def attainable_throughput(
     flops_per_mac: float = 2.0,
 ) -> float:
     """min(peak, intensity * bandwidth) in the comparison space."""
-    factor = _conversion(mode, bytes_per_element, flops_per_mac)
-    if finite(intensity, "intensity") <= 0:
-        raise InputError(f"intensity must be positive, got {intensity}")
-    return min(hw.peak_throughput, intensity * factor * hw.peak_bandwidth)
+    return _place(hw, _conversion(mode, bytes_per_element, flops_per_mac), intensity)[0]
 
 
 def classify(
@@ -134,10 +140,7 @@ def classify(
     flops_per_mac: float = 2.0,
 ) -> Bound:
     """Compute bound at or above the ridge intensity, memory bound below."""
-    factor = _conversion(mode, bytes_per_element, flops_per_mac)
-    if finite(intensity, "intensity") <= 0:
-        raise InputError(f"intensity must be positive, got {intensity}")
-    return Bound.COMPUTE if intensity * factor >= hw.cmr else Bound.MEMORY
+    return _place(hw, _conversion(mode, bytes_per_element, flops_per_mac), intensity)[1]
 
 
 def _geomspace(start: float, stop: float, num: int) -> list[float]:
@@ -172,15 +175,8 @@ def roofline_points(
         if text in labels:
             raise InputError(f"label {text!r} is placed twice; each point needs its own label")
         labels.add(text)
-        placed.append(
-            RooflinePoint(
-                label=text,
-                intensity=float(intensity),
-                attainable=attainable_throughput(hw, intensity, mode, bytes_per_element, flops_per_mac),
-                bound=classify(hw, intensity, mode, bytes_per_element, flops_per_mac),
-                measured=measured.get(label),
-            )
-        )
+        attainable, bound = _place(hw, factor, intensity)
+        placed.append(RooflinePoint(text, float(intensity), attainable, bound, measured.get(label)))
     if not placed:
         raise InputError("no points to place on the roofline")
     knee = hw.cmr / factor
@@ -190,6 +186,6 @@ def roofline_points(
         raise InputError(f"roofline intensity axis leaves float range: {lo} to {hi}")
     slope = _geomspace(lo, knee, envelope_points)
     roof = _geomspace(knee, hi, envelope_points)
-    envelope = [(x, min(hw.peak_throughput, x * factor * hw.peak_bandwidth)) for x in slope]
+    envelope = [(x, _place(hw, factor, x)[0]) for x in slope]
     envelope += [(x, hw.peak_throughput) for x in roof]
     return RooflineChart(hardware=hw, mode=mode, points=tuple(placed), envelope=tuple(envelope))

@@ -518,6 +518,20 @@ def test_bad_number_in_any_model_field_exits_2(tmp_path, hardware_dir, case):
     assert_exit_2(["roofline", "--hw", str(hardware_dir / "p100.yaml"), str(path)])
 
 
+def test_count_beyond_float_range_exits_2(runner, tmp_path, hardware_dir):
+    """Every field is in range but the input tensor's element count is not; each command names the layer."""
+    huge = "1" + "0" * 154
+    path = tmp_path / "huge.yaml"
+    path.write_text(
+        f"input: {{channels: 3, h: {huge}, w: {huge}}}\nlayers:\n  - {{name: data, kind: input}}\n"
+        "  - {name: c, kind: conv, inputs: [data], out_channels: 8, kernel_h: 1, kernel_w: 1}\n"
+    )
+    for args in (["analyze"], ["layers"], ["roofline", "--hw", str(hardware_dir / "p100.yaml")]):
+        result = runner.invoke(main, [*args, str(path)])
+        assert (result.exit_code, result.stdout) == (2, ""), result.output
+        assert result.stderr.startswith(f"error: {path}: layer 'data': activations must be within float range, got 3000")
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=bad_hardware_spec())
 def test_bad_number_in_a_hardware_peak_exits_2(tmp_path, model_dir, case):

@@ -45,6 +45,7 @@ CONV1 = LayerSpec(
     ("data",),
     {"out_channels": 64, "kernel_h": 3, "kernel_w": 3, "stride_h": 1, "stride_w": 1, "pad_h": 1, "pad_w": 1, "groups": 1},
 )
+RELU1 = LayerSpec("relu1", "relu", ("conv1",), in_place=True)
 
 
 def edges(graph: ModelGraph):
@@ -107,17 +108,30 @@ layers:
             parse_model("input: {channels: 3, h: 224, w: 224}\nlayers: [\n  {name: a, kind: input,\n")
 
     def test_missing_required_param(self):
-        with pytest.raises(ModelSyntaxError, match="out_channels"):
-            parse_model(SMALLEST.replace("out_channels: 64, ", ""))
+        text = SMALLEST.replace("out_channels: 64, ", "")
+        params = {k: v for k, v in CONV1.params.items() if k != "out_channels"}
+        conv = LayerSpec("conv1", "conv", ("data",), params)
+        rejected_both_ways(text, (DATA, conv, RELU1), ModelSyntaxError, "requires `out_channels`")
+
+    def test_zero_stride_rejected(self):
+        text = SMALLEST.replace("pad_h: 1", "stride_h: 0, pad_h: 1")
+        conv = LayerSpec("conv1", "conv", ("data",), {**CONV1.params, "stride_h": 0})
+        rejected_both_ways(text, (DATA, conv, RELU1), ModelSyntaxError, "stride_h must be an integer >= 1, got 0")
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ModelSyntaxError, match="dilation"):
-            parse_model(SMALLEST.replace("pad_h: 1", "dilation: 2, pad_h: 1"))
+        text = SMALLEST.replace("pad_h: 1", "dilation: 2, pad_h: 1")
+        conv = LayerSpec("conv1", "conv", ("data",), {**CONV1.params, "dilation": 2})
+        rejected_both_ways(text, (DATA, conv, RELU1), ModelSyntaxError, r"unknown fields for kind conv: \['dilation'\]")
 
     def test_in_place_restricted_to_elementwise_kinds(self):
         text = SMALLEST.replace("out_channels: 64", "in_place: true, out_channels: 64")
-        with pytest.raises(ModelSyntaxError, match="in_place"):
-            parse_model(text)
+        conv = LayerSpec("conv1", "conv", ("data",), CONV1.params, in_place=True)
+        rejected_both_ways(text, (DATA, conv, RELU1), ModelSyntaxError, "in_place only applies to relu/batchnorm")
+
+    def test_in_place_must_be_boolean(self):
+        text = SMALLEST.replace("inputs: [conv1]", "inputs: [conv1], in_place: 'yes'")
+        relu = LayerSpec("relu1", "relu", ("conv1",), in_place="yes")
+        rejected_both_ways(text, (DATA, CONV1, relu), ModelSyntaxError, "in_place must be a boolean")
 
     def test_exactly_one_input_node(self):
         text = """
