@@ -25,21 +25,14 @@ from .graph import (
 )
 from .layercost import LayerCost, closed_form_ai, conv_cost, fc_cost, layer_cost
 from .measure import (
-    EnergyMetrics,
     MeasurementRecord,
-    average_power,
     energy_efficiency,
-    energy_metrics,
-    epp,
     load_measurements,
-    load_power_samples,
-    serialize_measurements,
 )
 from .metrics import (
     CaseTag,
     DerivedMetrics,
     ai_from_reuse,
-    automl_metric,
     classify_case,
     derive_metrics,
     disparity,

@@ -144,6 +144,8 @@ class ModelGraph:
     costs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.input_shape, TensorShape):
+            raise ShapeError(f"input_shape must be a TensorShape, got {type(self.input_shape).__name__}")
         object.__setattr__(self, "layers", tuple(topo_order(self)))
 
     def layer(self, name: str) -> LayerSpec:
@@ -191,27 +193,30 @@ def _parse_input_shape(doc) -> TensorShape:
 
 def _parse_layer(raw, position) -> LayerSpec:
     raw = _expect_mapping(raw, f"layers[{position}]")
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        raise ModelSyntaxError(f"layers[{position}] needs a non-empty string `name`")
     kind = raw.get("kind")
-    inputs = raw.get("inputs", [])
-    if not isinstance(inputs, list) or not all(isinstance(i, str) for i in inputs):
-        raise ModelSyntaxError(f"layer {name!r}: `inputs` must be a list of layer names")
+    inputs = raw.get("inputs", ())
+    if isinstance(inputs, list):  # anything else is the graph's to refuse
+        inputs = tuple(inputs)
     schema = _PARAM_SCHEMA[kind] if kind in LAYER_KINDS else {}  # a kind may be any value, even unhashable
     params = {key: raw.get(key, default) for key, (default, _) in schema.items() if key in raw or default is not None}
     params.update({key: value for key, value in raw.items() if key not in params and key not in _LAYER_FIELDS})
     in_place = raw.get("in_place")
     if in_place is None:  # absent or null: the kind's default
         in_place = kind in IN_PLACE_KINDS
-    return LayerSpec(name=name, kind=kind, inputs=tuple(inputs), params=params, in_place=in_place)
+    return LayerSpec(name=raw.get("name"), kind=kind, inputs=inputs, params=params, in_place=in_place)
 
 
-def _check_fields(spec: LayerSpec) -> None:
-    """Refuse a layer's parameters outside its kind's schema, and an in_place flag it may not carry."""
-    schema = _PARAM_SCHEMA[spec.kind]
+def _check_fields(spec: LayerSpec, position: int) -> None:
+    """Refuse a name or inputs that are not strings, parameters outside a known kind's schema, and a misplaced in_place."""
+    if not isinstance(spec.name, str) or not spec.name:
+        raise ModelSyntaxError(f"layers[{position}] needs a non-empty string `name`")
     where = f"layer {spec.name!r}: "  # formatted once per layer, not once per parameter
-    extra = spec.params.keys() - schema.keys()
+    if not isinstance(spec.inputs, (tuple, list)) or not all(isinstance(ref, str) for ref in spec.inputs):
+        raise ModelSyntaxError(f"{where}`inputs` must be a list of layer names")
+    if spec.kind not in LAYER_KINDS:
+        return  # topo_order names the kind
+    schema = _PARAM_SCHEMA[spec.kind]
+    extra = _expect_mapping(spec.params, where + "params").keys() - schema.keys()
     if extra:
         raise ModelSyntaxError(f"{where}unknown fields for kind {spec.kind}: {sorted_keys(extra)}")
     for key, (_, minimum) in schema.items():
@@ -279,16 +284,15 @@ def serialize_model(graph: ModelGraph) -> str:
 def topo_order(graph: ModelGraph) -> list[LayerSpec]:
     """Layers ordered so producers precede consumers, after checking them.
 
-    Refuses, each over all layers in turn: fields a layer's kind does not
-    allow (_check_fields), an unknown kind, a repeated name, other than
-    exactly one input layer, a wrong number of inputs, an input naming
-    no layer, and a cycle. Ties are broken by declaration order, which
+    Refuses, each over all layers in turn: a name or inputs that are not
+    strings and fields a layer's kind does not allow (_check_fields), an
+    unknown kind, a repeated name, other than exactly one input layer, a
+    wrong number of inputs, an input naming no layer, and a cycle. Ties are broken by declaration order, which
     keeps every report and golden file deterministic.
     """
     layers = graph.layers
-    for spec in layers:
-        if spec.kind in LAYER_KINDS:
-            _check_fields(spec)
+    for i, spec in enumerate(layers):
+        _check_fields(spec, i)
     position: dict[str, int] = {}
     for i, spec in enumerate(layers):
         if spec.kind not in LAYER_KINDS:

@@ -1,4 +1,4 @@
-"""Weighted arithmetic intensity DI, disparity, case taxonomy, search objective.
+"""Weighted arithmetic intensity DI, disparity and case taxonomy.
 
 DI weights the two reuse ratios instead of harmonically combining them:
 
@@ -89,20 +89,6 @@ def reuse_bound_holds(profile: NetworkProfile, tolerance: float = 1e-9) -> tuple
     bound = (profile.activation_reuse + profile.weight_reuse) / 4
     slack = bound - profile.ai_c
     return slack >= -tolerance * bound, slack
-
-
-def automl_metric(profile: NetworkProfile, alpha: float = DEFAULT_ALPHA, k: float = 0.5) -> float:
-    """Search objective M_c * (1/DI)^k balancing work against memory traffic.
-
-    k in (0, 1) normalizes memory cost relative to compute cost; k = 0 is
-    accepted and degenerates to the plain MAC count.
-    """
-    if not 0 <= k < 1:
-        raise InputError(f"k must lie in [0, 1), got {k}")
-    di = weighted_intensity(profile, alpha)
-    if di <= 0:
-        raise DegenerateDataError("objective undefined at DI = 0")
-    return profile.macs * (1 / di) ** k
 
 
 def derive_metrics(

@@ -57,8 +57,6 @@ class RooflinePoint:
 
 @dataclass(frozen=True)
 class RooflineChart:
-    hardware: HardwareSpec
-    mode: str
     points: tuple[RooflinePoint, ...]
     envelope: tuple[tuple[float, float], ...]
 
@@ -163,7 +161,7 @@ def roofline_points(
 
     points: iterable of (label, intensity) in input units.
     measured: optional mapping label -> achieved operations per second,
-    carried through to the chart untouched.
+    carried through to the chart once checked finite.
     """
     factor = _conversion(mode, bytes_per_element, flops_per_mac)
     if envelope_points < 2:
@@ -176,7 +174,10 @@ def roofline_points(
             raise InputError(f"label {text!r} is placed twice; each point needs its own label")
         labels.add(text)
         attainable, bound = _place(hw, factor, intensity)
-        placed.append(RooflinePoint(text, float(intensity), attainable, bound, measured.get(label)))
+        ops = measured.get(label)
+        if ops is not None:
+            ops = finite(ops, f"measured operations per second of {text!r}")
+        placed.append(RooflinePoint(text, float(intensity), attainable, bound, ops))
     if not placed:
         raise InputError("no points to place on the roofline")
     knee = hw.cmr / factor
@@ -188,4 +189,4 @@ def roofline_points(
     roof = _geomspace(knee, hi, envelope_points)
     envelope = [(x, _place(hw, factor, x)[0]) for x in slope]
     envelope += [(x, hw.peak_throughput) for x in roof]
-    return RooflineChart(hardware=hw, mode=mode, points=tuple(placed), envelope=tuple(envelope))
+    return RooflineChart(points=tuple(placed), envelope=tuple(envelope))

@@ -33,9 +33,6 @@ class CalibrationCurve:
     selected_alpha: float
     selection_rule: dict
 
-    def alphas(self):
-        return [p.alpha for p in self.points]
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -137,6 +134,8 @@ def alpha_grid(step: float = 0.05) -> list[float]:
     """[0, step, 2*step, ...] capped and terminated at exactly 1.0."""
     if not 0 < step <= 1:
         raise InputError(f"step must lie in (0, 1], got {step}")
+    if step < 1e-10:  # finer than the alphas' rounding to 10 places, so they would repeat
+        raise InputError(f"step must be at least 1e-10, got {step}")
     count = int(round(1.0 / step))
     if abs(count * step - 1.0) > 1e-9:
         raise InputError(f"step {step} does not divide the [0, 1] range evenly")

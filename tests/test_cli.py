@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import pathlib
 
+import click
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dnnreuse import layercost
 from dnnreuse.cli import main
@@ -300,6 +301,21 @@ class TestRoofline:
         (point,) = payload["points"]
         assert point["measured_ops"] == pytest.approx(4 * 724406816 / 2.92e-3, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "batch, row", [(4, "alexnet,P100,4,50,2,224,224,1e308"), (1, "alexnet,P100,1,50,1e-320,224,224,")]
+    )
+    def test_measured_ops_beyond_float_range_exits_2(self, runner, tmp_path, hardware_dir, model_dir, batch, row):
+        # batch * macs / i_t overflows to inf, which CSV printed as `inf` and JSON as a bare `Infinity`
+        measurements = tmp_path / "m.csv"
+        measurements.write_text("model,device,batch,p_avg_w,i_t_ms,input_h,input_w,macs\n" + row + "\n")
+        result = runner.invoke(main, [
+            "roofline", "--hw", str(hardware_dir / "p100.yaml"), "--batch", str(batch),
+            "--measurements", str(measurements), "--format", "json", str(model_dir / "alexnet.yaml"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == "error: measured operations per second of 'alexnet' must be a finite number, got inf\n"
+
     def test_unknown_hw_file_exits_2(self, runner, model_dir):
         result = runner.invoke(main, ["roofline", "--hw", "/nonexistent/hw.yaml", str(model_dir / "nin.yaml")])
         assert result.exit_code == 2
@@ -541,6 +557,27 @@ def test_bad_number_in_a_hardware_peak_exits_2(tmp_path, model_dir, case):
     assert_exit_2(["roofline", "--hw", str(path), str(model_dir / "nin.yaml")])
 
 
+FLOAT_OPTIONS = [
+    (name, param.opts[0]) for name, command in main.commands.items() for param in command.params
+    if param.type is click.FLOAT
+]
+
+
+@st.composite
+def float_option(draw):
+    """(command, option, value) for any float option of any command."""
+    command, option = draw(st.sampled_from(FLOAT_OPTIONS))
+    values = st.floats()
+    if option == "--step":
+        # a step in [1e-10, 1e-4) that divides [0, 1] evenly asks for 10^4 to 10^10 alphas: valid work, only slow
+        values = values.filter(lambda v: not 1e-10 <= v < 1e-4)
+    return command, option, draw(values)
+
+
+def refuse_non_finite(constant):
+    raise AssertionError(f"JSON output holds {constant}")
+
+
 class TestFloatOptions:
     """Every float option goes through one finiteness check before any command runs."""
 
@@ -552,7 +589,9 @@ class TestFloatOptions:
         return {
             "analyze": ["analyze", model],
             "calibrate": ["calibrate", *profiles, *measurements],
-            "roofline": ["roofline", "--hw", str(hardware_dir / "p100.yaml"), "--mode", "converted", model],
+            "roofline": [
+                "roofline", "--hw", str(hardware_dir / "p100.yaml"), "--mode", "converted", *measurements, "--batch", "4", model,
+            ],
         }
 
     @pytest.mark.parametrize(
@@ -580,6 +619,19 @@ class TestFloatOptions:
         result = runner.invoke(main, commands["roofline"] + ["--bytes-per-element", "1e-300", "--flops-per-mac", "1e300"])
         assert result.exit_code == 2, result.output
         assert "float range" in result.stderr
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=float_option())
+    @example(case=("calibrate", "--step", 5e-324))
+    def test_any_value_exits_0_2_or_3_and_prints_only_finite_json(self, commands, case):
+        command, option, value = case
+        result = CliRunner().invoke(main, commands[command] + [option, repr(value), "--format", "json"])
+        assert result.exit_code in (0, 2, 3), (case, result.output, result.exception)
+        if result.exit_code:
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+        else:
+            json.loads(result.stdout, parse_constant=refuse_non_finite)
 
 
 class TestDeepNesting:

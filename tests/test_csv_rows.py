@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dnnreuse.cli import main
 from dnnreuse.document import read_rows
 from dnnreuse.errors import InputError
-from dnnreuse.measure import MEASUREMENT_COLUMNS, load_measurements, load_power_samples
+from dnnreuse.measure import MEASUREMENT_COLUMNS, load_measurements
 from dnnreuse.netprofile import load_profiles
 
 from conftest import FIXTURES, NEGATIVE, assert_exit_2
@@ -66,7 +66,7 @@ class TestReadRows:
         with pytest.raises(InputError, match="^row 3: field larger than field limit"):
             next(rows)
 
-    @pytest.mark.parametrize("load", [load_measurements, load_profiles, load_power_samples])
+    @pytest.mark.parametrize("load", [load_measurements, load_profiles])
     def test_every_loader_raises_input_error_for_what_the_csv_module_cannot_read(self, load):
         with pytest.raises(InputError, match="^row 1: field larger than field limit"):
             load("x" * 200_000 + "\n")
@@ -90,10 +90,6 @@ class TestRaggedRows:
         row = row + extra if extra else row.rsplit(",", 1)[0]
         with pytest.raises(InputError, match=f"^row 3: expected 4 fields, got {got}$"):
             load_profiles(text([*TABLES[table][:2], row]))
-
-    def test_power_trace_row(self):
-        with pytest.raises(InputError, match="^row 3: expected 2 fields, got 3$"):
-            load_power_samples("t_ms,watts\n0,40\n1,41,42\n")
 
     def test_calibrate_exits_2_naming_the_file_and_row(self, tmp_path):
         profiles, measurements = tmp_path / "p.csv", tmp_path / "m.csv"

@@ -183,6 +183,14 @@ DEFECTS = [
         LayerSpec("c", "conv", ("d", "d"), CONV1.params),
         ModelSyntaxError, "kind conv takes exactly 1 input", id="conv-of-two",
     ),
+    pytest.param(
+        "{name: 5, kind: relu, inputs: [d]}", LayerSpec(5, "relu", ("d",)),
+        ModelSyntaxError, r"layers\[1\] needs a non-empty string `name`", id="int-name",
+    ),
+    pytest.param(
+        "{name: r, kind: relu, inputs: d}", LayerSpec("r", "relu", "d"),
+        ModelSyntaxError, "layer 'r': `inputs` must be a list of layer names", id="inputs-a-string",
+    ),
 ]
 
 
@@ -190,6 +198,23 @@ DEFECTS = [
 def test_hand_built_graph_is_checked_like_a_parsed_one(entry, spec, error, match):
     text = f"input: {{channels: 3, h: 8, w: 8}}\nlayers:\n  - {{name: d, kind: input}}\n  - {entry}\n"
     rejected_both_ways(text, (LayerSpec("d", "input"), spec), error, match)
+
+
+@pytest.mark.parametrize(
+    "input_shape, spec, error, match",
+    [
+        ((3, 8, 8), LayerSpec("r", "relu", ("d",)), ShapeError, "^input_shape must be a TensorShape, got tuple$"),
+        (
+            TensorShape(3, 8, 8), LayerSpec("c", "conv", ("d",), None),
+            ModelSyntaxError, "^layer 'c': params must be a mapping, got NoneType$",
+        ),
+    ],
+    ids=["input-shape-a-tuple", "params-none"],
+)
+def test_hand_built_field_of_the_wrong_type_is_a_model_error(input_shape, spec, error, match):
+    # no document can carry these, so there is no parsed twin to compare with
+    with pytest.raises(error, match=match):
+        ModelGraph(name="hand", input_shape=input_shape, layers=(LayerSpec("d", "input"), spec))
 
 
 @pytest.fixture(params=["libyaml", "python"])

@@ -1,8 +1,6 @@
-"""Weighted intensity, disparity, case taxonomy, and the search objective."""
+"""Weighted intensity, disparity and case taxonomy."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +9,6 @@ from dnnreuse.errors import DegenerateDataError, InputError
 from dnnreuse.metrics import (
     CaseTag,
     ai_from_reuse,
-    automl_metric,
     classify_case,
     derive_metrics,
     disparity,
@@ -154,28 +151,6 @@ class TestReuseBound:
         assert slack >= -1e-9 * (p.activation_reuse + p.weight_reuse) / 4
         if slack < 1e-12 * p.ai_c:
             assert weights == pytest.approx(activations, rel=1e-5)
-
-
-class TestAutomlMetric:
-    def test_zero_exponent_degenerates_to_macs(self):
-        p = NetworkProfile(macs=1e9, weights=10, activations=10)
-        assert automl_metric(p, k=0.0) == p.macs
-
-    def test_square_root_penalty(self):
-        p = NetworkProfile(macs=1e9, weights=1.0, activations=1.0)
-        # DI = (0.8*1e9 + 0.2*1e9)/4 = 2.5e8; at k=0.5 the value is macs/sqrt(DI)
-        assert automl_metric(p, k=0.5) == pytest.approx(1e9 / math.sqrt(2.5e8))
-
-    def test_penalty_ratio_between_two_networks(self):
-        lean = profile_from_reuse(135.65, 28.24)  # DI around 12.43
-        wide = profile_from_reuse(11.85, 361.50)  # DI around 72.89
-        ratio = (automl_metric(lean, k=0.5) / lean.macs) / (automl_metric(wide, k=0.5) / wide.macs)
-        assert ratio == pytest.approx(math.sqrt(72.89 / 12.43), rel=1e-3)
-
-    def test_k_out_of_range(self):
-        p = NetworkProfile(macs=1, weights=1, activations=1)
-        with pytest.raises(InputError):
-            automl_metric(p, k=1.0)
 
 
 class TestDeriveMetrics:

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+from dnnreuse import stats
 from dnnreuse.errors import DegenerateDataError, InputError
 from dnnreuse.netprofile import NetworkProfile
 from dnnreuse.stats import (
@@ -132,6 +133,17 @@ class TestAlphaGrid:
         with pytest.raises(InputError):
             alpha_grid(0.3)
 
+    @pytest.mark.parametrize("step", [5e-324, 1e-11])
+    def test_step_below_the_grids_rounding_rejected(self, step, monkeypatch):
+        # 1e-11 divides [0, 1] evenly, into 10^11 alphas that repeat at 10 places; none may be built
+        def bounded_range(count):
+            assert count <= 10**6, f"alpha_grid({step}) would build {count} alphas"
+            return range(count)
+
+        monkeypatch.setattr(stats, "range", bounded_range, raising=False)
+        with pytest.raises(InputError, match=f"^step must be at least 1e-10, got {step}$"):
+            alpha_grid(step)
+
 
 class TestSelectAlpha:
     def test_plateau_after_steady_climb(self):
@@ -185,7 +197,7 @@ class TestAlphaSweep:
 
     def test_curve_covers_whole_grid(self):
         curve = alpha_sweep(self.profiles(), self.efficiencies(), step=0.2)
-        assert curve.alphas() == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        assert [p.alpha for p in curve.points] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 
     def test_selection_rule_recorded(self):
         curve = alpha_sweep(self.profiles(), self.efficiencies(), step=0.2, epsilon=0.01)
