@@ -18,7 +18,6 @@ from .graph import (
     ShapeError,
     TensorShape,
     UnknownKindError,
-    infer_shapes,
     parse_model,
     serialize_model,
     topo_order,

@@ -26,7 +26,7 @@ import click
 
 from .document import read_rows
 from .errors import DegenerateDataError, InputError, finite
-from .graph import infer_shapes, parse_model
+from .graph import parse_model
 from .measure import energy_efficiency, load_measurements
 from .metrics import DEFAULT_ALPHA, TAU_HIGH, TAU_LOW, derive_metrics, weighted_intensity
 from .netprofile import aggregate, batch_scale, layerwise_ai_stats, load_profiles
@@ -77,7 +77,7 @@ def _parse_file(path: str, parse):
 
 
 def _load_graph(path: str):
-    return _parse_file(path, lambda text: infer_shapes(parse_model(text, name=pathlib.Path(path).stem)))
+    return _parse_file(path, lambda text: parse_model(text, name=pathlib.Path(path).stem))
 
 
 def _cell(value, form) -> str:
@@ -150,7 +150,7 @@ def layers(model, fmt):
     ai_by_name = dict(stats.per_layer_ai)
     rows = []
     for spec in graph.layers:
-        cost = dataclasses.asdict(graph.cost(spec.name))  # macs, weights, activations
+        cost = dataclasses.asdict(graph.costs[spec.name])  # macs, weights, activations
         rows.append({"name": spec.name, "kind": spec.kind, **cost, "ai": ai_by_name.get(spec.name)})
     doc = {"model": graph.name, "layers": rows, "ai_median": stats.median, "ai_variance": stats.variance}
     trailer = [{"name": "median", "ai": stats.median}, {"name": "variance", "ai": stats.variance}]

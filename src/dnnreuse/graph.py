@@ -14,7 +14,8 @@ Exactly one layer has kind "input"; its shape comes from the top-level
 `input` mapping. Edges are implied by each layer's `inputs` list.
 parse_model maps a document to layers and fills each kind's defaults;
 ModelGraph checks the layers, parsed or built by hand: each kind's
-parameters, the in-place flag, names and edges (see topo_order).
+parameters, the in-place flag, names and edges (see topo_order), then
+fills every layer's output shape and cost (see infer_shapes).
 
 dnnreuse.document loads the text: a document starting with `{` is read
 by json.loads, falling back to YAML if it is not JSON, and YAML is read
@@ -26,7 +27,6 @@ the form matters only as a name, which must be a string in JSON.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import reprlib
 from dataclasses import dataclass, field
@@ -103,7 +103,7 @@ class TensorShape:
 
     def __post_init__(self):
         for dim in (self.channels, self.height, self.width):
-            if not isinstance(dim, int) or dim < 1:
+            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
                 raise ShapeError(f"tensor dimensions must be integers >= 1, got {self!r}")
 
     def element_count(self) -> int:
@@ -132,37 +132,30 @@ class ModelGraph:
     The constructor checks the layers it is given, whether parsed or
     built by hand (see topo_order), and stores them in execution order:
     producers precede consumers, ties kept in the given order. Every
-    pass walks `layers`. `shapes` maps layer name to output TensorShape
-    and `costs` maps it to LayerCost; both are empty until
-    infer_shapes() has run.
+    pass walks `layers`. It then fills `shapes` (name to output TensorShape)
+    and `costs` (name to LayerCost) through infer_shapes; neither can be
+    passed in or replace()d, so both always match the layers and input.
     """
 
     name: str
     input_shape: TensorShape
     layers: tuple[LayerSpec, ...]
-    shapes: dict = field(default_factory=dict)
-    costs: dict = field(default_factory=dict)
+    shapes: dict = field(init=False)
+    costs: dict = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.input_shape, TensorShape):
             raise ShapeError(f"input_shape must be a TensorShape, got {type(self.input_shape).__name__}")
         object.__setattr__(self, "layers", tuple(topo_order(self)))
+        shapes, costs = infer_shapes(self.layers, self.input_shape)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "costs", costs)
 
     def layer(self, name: str) -> LayerSpec:
         for spec in self.layers:
             if spec.name == name:
                 return spec
         raise KeyError(name)
-
-    def output_shape(self, name: str) -> TensorShape:
-        if name not in self.shapes:
-            raise ShapeError(f"no inferred shape for layer {name!r}; run infer_shapes first")
-        return self.shapes[name]
-
-    def cost(self, name: str):
-        if name not in self.costs:
-            raise ShapeError(f"no inferred cost for layer {name!r}; run infer_shapes first")
-        return self.costs[name]
 
 
 def _expect_mapping(value, what):
@@ -234,7 +227,7 @@ _ARITY = {"input": (0, 0), "add": (2, None), "concat": (2, None)}
 
 
 def parse_model(text: str, name: str | None = None) -> ModelGraph:
-    """Map a model document to an unannotated graph, which checks itself.
+    """Map a model document to a graph, which checks, shapes and costs itself.
 
     The optional `name` is a fallback used when the document carries no
     top-level name (the CLI passes the file stem).
@@ -345,16 +338,16 @@ def _conv_like_shape(spec: LayerSpec, in_shape: TensorShape, channels: int) -> T
     return TensorShape(channels, span_h // p["stride_h"] + 1, span_w // p["stride_w"] + 1)
 
 
-def infer_shapes(graph: ModelGraph) -> ModelGraph:
-    """Annotate every layer with its output shape and its cost; returns a new graph."""
+def infer_shapes(layers, input_shape: TensorShape) -> tuple[dict, dict]:
+    """(shapes, costs): each layer's output TensorShape and LayerCost by name; `layers` as ModelGraph stores them."""
     from .layercost import layer_cost  # layercost imports this module
 
     shapes: dict[str, TensorShape] = {}
     costs = {}
-    for spec in graph.layers:
+    for spec in layers:
         ins = [shapes[ref] for ref in spec.inputs]
         if spec.kind == "input":
-            out = graph.input_shape
+            out = input_shape
         elif spec.kind == "conv":
             out = _conv_like_shape(spec, ins[0], spec.params["out_channels"])
         elif spec.kind == "pool":
@@ -377,6 +370,4 @@ def infer_shapes(graph: ModelGraph) -> ModelGraph:
         if cost.macs > _FLOAT_MAX or cost.weights > _FLOAT_MAX or cost.activations > _FLOAT_MAX:
             what, count = max(vars(cost).items(), key=lambda item: item[1])
             raise ShapeError(f"layer {spec.name!r}: {what} must be within float range, got {reprlib.repr(count)}")
-    annotated = copy.copy(graph)  # the layers are checked and ordered already; replace() would redo both
-    vars(annotated).update(shapes=shapes, costs=costs)
-    return annotated
+    return shapes, costs

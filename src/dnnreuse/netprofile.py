@@ -131,13 +131,13 @@ class LayerStats:
 
 
 def aggregate(graph: ModelGraph) -> NetworkProfile:
-    """Sum the layer costs of a shape-annotated graph at batch size 1."""
+    """Sum the layer costs of a graph at batch size 1."""
     macs = 0
     weights = 0
     activations = 0
     for spec in graph.layers:
-        produced = graph.output_shape(spec.name).element_count()
-        cost = graph.cost(spec.name)
+        produced = graph.shapes[spec.name].element_count()
+        cost = graph.costs[spec.name]
         macs += cost.macs
         weights += cost.weights
         # Count each produced tensor once. In-place layers reuse their
@@ -159,8 +159,8 @@ def layerwise_ai_stats(graph: ModelGraph) -> LayerStats:
     for spec in graph.layers:
         if spec.kind not in ("conv", "fc"):
             continue
-        produced = graph.output_shape(spec.name).element_count()
-        cost = graph.cost(spec.name)
+        produced = graph.shapes[spec.name].element_count()
+        cost = graph.costs[spec.name]
         per_layer.append((spec.name, cost.macs / (cost.weights + produced)))
     if not per_layer:
         raise DegenerateDataError("no MAC-bearing layers")
@@ -190,7 +190,7 @@ def peak_concurrent_activations(graph: ModelGraph) -> int:
     delta = [0] * (len(graph.layers) + 1)
     for step, spec in enumerate(graph.layers):
         if not spec.in_place:
-            size = graph.output_shape(spec.name).element_count()
+            size = graph.shapes[spec.name].element_count()
             delta[step] += size
             delta[last_use[spec.name] + 1] -= size
     return max(accumulate(delta))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 from .errors import DegenerateDataError, InputError, finite
@@ -134,8 +134,8 @@ def alpha_grid(step: float = 0.05) -> list[float]:
     """[0, step, 2*step, ...] capped and terminated at exactly 1.0."""
     if not 0 < step <= 1:
         raise InputError(f"step must lie in (0, 1], got {step}")
-    if step < 1e-10:  # finer than the alphas' rounding to 10 places, so they would repeat
-        raise InputError(f"step must be at least 1e-10, got {step}")
+    if step < 1e-4:  # alphas print with four decimals, so a finer step repeats them; this caps a grid at 10,001
+        raise InputError(f"step must be at least 0.0001, got {step}")
     count = int(round(1.0 / step))
     if abs(count * step - 1.0) > 1e-9:
         raise InputError(f"step {step} does not divide the [0, 1] range evenly")
@@ -173,11 +173,7 @@ def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.0
         selected_alpha=math.nan,
         selection_rule={"rule": "plateau", "epsilon": epsilon},
     )
-    return CalibrationCurve(
-        points=curve.points,
-        selected_alpha=select_alpha(curve, epsilon),
-        selection_rule=curve.selection_rule,
-    )
+    return replace(curve, selected_alpha=select_alpha(curve, epsilon))
 
 
 def select_alpha(curve: CalibrationCurve, epsilon: float = 0.005) -> float:

@@ -65,7 +65,7 @@ def brute_force_peak_activations(graph: ModelGraph) -> int:
             dies = max(needed + [step_of[spec.name]])
             if born <= step <= dies:
                 live.add(root)
-        peak = max(peak, sum(graph.output_shape(root).element_count() for root in live))
+        peak = max(peak, sum(graph.shapes[root].element_count() for root in live))
     return peak
 
 

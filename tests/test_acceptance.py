@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from dnnreuse.graph import LayerSpec, TensorShape, infer_shapes, parse_model
+from dnnreuse.graph import LayerSpec, TensorShape, parse_model
 from dnnreuse.layercost import conv_cost
 from dnnreuse.measure import load_measurements
 from dnnreuse.metrics import ai_from_reuse, disparity, reuse_bound_holds, weighted_intensity
@@ -47,7 +47,7 @@ def reference_profiles(reference_rows):
 def graphs(model_dir):
     out = {}
     for path in sorted(model_dir.glob("*.yaml")):
-        out[path.stem] = infer_shapes(parse_model(path.read_text(), name=path.stem))
+        out[path.stem] = parse_model(path.read_text(), name=path.stem)
     return out
 
 

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -28,6 +29,7 @@ from dnnreuse.graph import (
     serialize_model,
     topo_order,
 )
+from dnnreuse.netprofile import aggregate
 
 SMALLEST = """
 input: {channels: 3, h: 224, w: 224}
@@ -444,30 +446,30 @@ layers:
 class TestInferShapes:
     def make(self, body, channels=3, h=224, w=224):
         text = f"input: {{channels: {channels}, h: {h}, w: {w}}}\nlayers:\n  - {{name: data, kind: input}}\n{body}"
-        return infer_shapes(parse_model(text))
+        return parse_model(text)
 
     def test_same_padding_identity(self):
         g = self.make("  - {name: c, kind: conv, inputs: [data], out_channels: 64, kernel_h: 3, kernel_w: 3, pad_h: 1, pad_w: 1}")
-        assert g.output_shape("c") == TensorShape(64, 224, 224)
+        assert g.shapes["c"] == TensorShape(64, 224, 224)
 
     def test_strided_conv_floor_formula(self):
         # floor((224 + 0 - 11)/4) + 1 = 54, cross-checked by enumerating
         # valid filter placements: positions 0, 4, ..., 212 inclusive.
         placements = len(range(0, 224 - 11 + 1, 4))
         g = self.make("  - {name: c, kind: conv, inputs: [data], out_channels: 96, kernel_h: 11, kernel_w: 11, stride_h: 4, stride_w: 4}")
-        assert g.output_shape("c") == TensorShape(96, 54, 54)
-        assert g.output_shape("c").height == placements
+        assert g.shapes["c"] == TensorShape(96, 54, 54)
+        assert g.shapes["c"].height == placements
 
     def test_pool_floor_formula(self):
         g = self.make(
             "  - {name: c, kind: conv, inputs: [data], out_channels: 96, kernel_h: 11, kernel_w: 11, stride_h: 4, stride_w: 4}\n"
             "  - {name: p, kind: pool, inputs: [c], kernel_h: 3, kernel_w: 3, stride_h: 2, stride_w: 2}"
         )
-        assert g.output_shape("p") == TensorShape(96, 26, 26)
+        assert g.shapes["p"] == TensorShape(96, 26, 26)
 
     def test_fc_flattens_input(self):
         g = self.make("  - {name: f, kind: fc, inputs: [data], out_features: 10}", channels=4, h=5, w=5)
-        assert g.output_shape("f") == TensorShape(10, 1, 1)
+        assert g.shapes["f"] == TensorShape(10, 1, 1)
 
     def test_concat_sums_channels(self):
         g = self.make(
@@ -475,7 +477,7 @@ class TestInferShapes:
             "  - {name: b, kind: conv, inputs: [data], out_channels: 24, kernel_h: 1, kernel_w: 1}\n"
             "  - {name: cat, kind: concat, inputs: [a, b]}"
         )
-        assert g.output_shape("cat").channels == 32
+        assert g.shapes["cat"].channels == 32
 
     def test_add_requires_identical_shapes(self):
         with pytest.raises(ShapeError, match="add"):
@@ -495,7 +497,34 @@ class TestInferShapes:
 
     def test_inference_is_deterministic(self):
         g = parse_model(SMALLEST)
-        assert infer_shapes(g).shapes == infer_shapes(g).shapes
+        assert infer_shapes(g.layers, g.input_shape) == (g.shapes, g.costs)
+
+    def test_bool_dimension_refused(self):
+        with pytest.raises(ShapeError, match=r"^tensor dimensions must be integers >= 1, got TensorShape\(channels=True"):
+            TensorShape(True, 4, 4)
+
+
+class TestAnnotationsFollowTheGraph:
+    """Shapes and costs are filled by the constructor alone, so they always match the layers and input."""
+
+    def graph(self):
+        conv = replace(CONV1, params={**CONV1.params, "out_channels": 8})  # 3x3, pad 1: 8x8 out of 8x8
+        return ModelGraph(name="hand", input_shape=TensorShape(3, 8, 8), layers=(DATA, conv))
+
+    def test_replaced_input_shape_reshapes_and_recosts(self):
+        g = self.graph()
+        assert (g.shapes["conv1"], aggregate(g).macs) == (TensorShape(8, 8, 8), 13_824)
+        bigger = replace(g, input_shape=TensorShape(3, 64, 64))
+        assert (bigger.shapes["conv1"], aggregate(bigger).macs) == (TensorShape(8, 64, 64), 884_736)
+        assert bigger.costs == infer_shapes(bigger.layers, bigger.input_shape)[1]
+
+    def test_annotations_cannot_be_passed_in(self):
+        with pytest.raises(TypeError, match="shapes"):
+            ModelGraph(name="hand", input_shape=TensorShape(3, 8, 8), layers=(DATA,), shapes={"data": TensorShape(3, 8, 8)})
+
+    def test_annotations_cannot_be_replaced(self):
+        with pytest.raises(ValueError, match="costs"):
+            replace(self.graph(), costs={})
 
 
 class TestTopoOrder:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnnreuse.errors import DegenerateDataError, InputError
-from dnnreuse.graph import ShapeError, infer_shapes, parse_model
+from dnnreuse.graph import parse_model
 from dnnreuse.layercost import fc_cost
 from dnnreuse.netprofile import (
     NetworkProfile,
@@ -24,10 +23,6 @@ from oracles import brute_force_peak_activations
 from test_graph import random_dags
 
 
-def load(text):
-    return infer_shapes(parse_model(text))
-
-
 TWO_LAYER = """
 input: {channels: 2, h: 2, w: 2}
 layers:
@@ -40,16 +35,16 @@ layers:
 class TestAggregate:
     def test_hand_summed_two_layer_network(self):
         # conv: 2 in, 3 out channels, 2x2 kernel, 2x2 output
-        profile = aggregate(load(TWO_LAYER))
+        profile = aggregate(parse_model(TWO_LAYER))
         assert (profile.macs, profile.weights, profile.activations) == (96, 24, 20)
         assert profile.ai_c == pytest.approx(96 / 44)
 
     def test_not_in_place_relu_adds_one_copy(self):
-        profile = aggregate(load(TWO_LAYER.replace("in_place: true", "in_place: false")))
+        profile = aggregate(parse_model(TWO_LAYER.replace("in_place: true", "in_place: false")))
         assert profile.activations == 20 + 12
 
     def test_zero_work_network_is_degenerate_but_consistent(self):
-        g = load(
+        g = parse_model(
             """
 input: {channels: 1, h: 3, w: 3}
 layers:
@@ -63,7 +58,7 @@ layers:
         assert profile.weights + profile.activations > 0
 
     def test_derived_ratio_identities(self):
-        profile = aggregate(load(TWO_LAYER))
+        profile = aggregate(parse_model(TWO_LAYER))
         assert profile.ai_c * (profile.weights + profile.activations) == pytest.approx(profile.macs, rel=1e-12)
         assert profile.a_over_w == pytest.approx(profile.weight_reuse / profile.activation_reuse, rel=1e-12)
 
@@ -72,20 +67,6 @@ layers:
 
         with pytest.raises(InputError):
             aggregate(ModelGraph(name="x", input_shape=TensorShape(1, 1, 1), layers=()))
-
-
-class TestCostsMissing:
-    """A graph whose shapes were filled without costs names the layer and infer_shapes, as output_shape does."""
-
-    def test_aggregate(self):
-        graph = replace(load(TWO_LAYER), costs={})
-        with pytest.raises(ShapeError, match=r"^no inferred cost for layer 'data'; run infer_shapes first$"):
-            aggregate(graph)
-
-    def test_layerwise_ai_stats(self):
-        graph = replace(load(TWO_LAYER), costs={})
-        with pytest.raises(ShapeError, match=r"^no inferred cost for layer 'c'; run infer_shapes first$"):
-            layerwise_ai_stats(graph)
 
 
 class TestFromReuse:
@@ -135,7 +116,7 @@ class TestLoadProfiles:
 
 class TestPeakConcurrent:
     def test_chain_peak_is_adjacent_pair(self):
-        g = load(
+        g = parse_model(
             """
 input: {channels: 10, h: 1, w: 1}
 layers:
@@ -148,7 +129,7 @@ layers:
         assert brute_force_peak_activations(g) == 30
 
     def test_residual_keeps_skip_operand_alive(self):
-        g = load(
+        g = parse_model(
             """
 input: {channels: 10, h: 1, w: 1}
 layers:
@@ -162,7 +143,7 @@ layers:
         assert brute_force_peak_activations(g) == 30
 
     def test_dense_concats_match_exhaustive_oracle(self):
-        g = load(
+        g = parse_model(
             """
 input: {channels: 4, h: 2, w: 2}
 layers:
@@ -188,8 +169,8 @@ layers:
   - {name: r1, kind: relu, inputs: [c1], in_place: %s}
   - {name: c2, kind: conv, inputs: [r1], out_channels: 1, kernel_h: 1, kernel_w: 1}
 """
-        aliased = load(base % "true")
-        copied = load(base % "false")
+        aliased = parse_model(base % "true")
+        copied = parse_model(base % "false")
         assert peak_concurrent_activations(aliased) == brute_force_peak_activations(aliased)
         assert peak_concurrent_activations(copied) == brute_force_peak_activations(copied)
         assert peak_concurrent_activations(copied) == 2048
@@ -198,18 +179,17 @@ layers:
     @settings(deadline=None)
     @given(random_dags())
     def test_matches_exhaustive_oracle_on_random_dags(self, graph):
-        g = infer_shapes(graph)
-        assert peak_concurrent_activations(g) == brute_force_peak_activations(g)
+        assert peak_concurrent_activations(graph) == brute_force_peak_activations(graph)
 
     def test_peak_never_exceeds_total_activations(self):
         for text in (TWO_LAYER, TWO_LAYER.replace("in_place: true", "in_place: false")):
-            g = load(text)
+            g = parse_model(text)
             assert peak_concurrent_activations(g) <= aggregate(g).activations
 
 
 class TestLayerwiseStats:
     def test_single_conv_network(self):
-        stats = layerwise_ai_stats(load(TWO_LAYER))
+        stats = layerwise_ai_stats(parse_model(TWO_LAYER))
         assert len(stats.per_layer_ai) == 1
         (name, ai), = stats.per_layer_ai
         assert name == "c"
@@ -219,7 +199,7 @@ class TestLayerwiseStats:
         assert ai == pytest.approx(96 / 36)
 
     def test_median_of_even_count_is_midpoint(self):
-        g = load(
+        g = parse_model(
             """
 input: {channels: 4, h: 1, w: 1}
 layers:
@@ -234,13 +214,13 @@ layers:
         assert stats.median == pytest.approx((a1 + a2) / 2)
 
     def test_median_within_range(self):
-        g = load(TWO_LAYER)
+        g = parse_model(TWO_LAYER)
         stats = layerwise_ai_stats(g)
         values = [ai for _, ai in stats.per_layer_ai]
         assert min(values) <= stats.median <= max(values)
 
     def test_no_mac_layers_is_degenerate(self):
-        g = load(
+        g = parse_model(
             """
 input: {channels: 1, h: 3, w: 3}
 layers:

@@ -133,15 +133,15 @@ class TestAlphaGrid:
         with pytest.raises(InputError):
             alpha_grid(0.3)
 
-    @pytest.mark.parametrize("step", [5e-324, 1e-11])
+    @pytest.mark.parametrize("step", [5e-324, 1e-11, 1e-9, 5e-5])
     def test_step_below_the_grids_rounding_rejected(self, step, monkeypatch):
-        # 1e-11 divides [0, 1] evenly, into 10^11 alphas that repeat at 10 places; none may be built
+        # each divides [0, 1] evenly, into 2*10^4 to 10^11 alphas that repeat at four decimals; none may be built
         def bounded_range(count):
             assert count <= 10**6, f"alpha_grid({step}) would build {count} alphas"
             return range(count)
 
         monkeypatch.setattr(stats, "range", bounded_range, raising=False)
-        with pytest.raises(InputError, match=f"^step must be at least 1e-10, got {step}$"):
+        with pytest.raises(InputError, match=f"^step must be at least 0.0001, got {step}$"):
             alpha_grid(step)
 
 

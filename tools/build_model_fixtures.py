@@ -22,7 +22,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dnnreuse.graph import infer_shapes, parse_model, serialize_model
+from dnnreuse.graph import parse_model, serialize_model
 from dnnreuse.netprofile import aggregate
 
 
@@ -959,7 +959,7 @@ def main():
 
         doc = BUILDERS[name]().doc()
         text = _yaml.safe_dump(doc, sort_keys=False)
-        graph = infer_shapes(parse_model(text))
+        graph = parse_model(text)
         out = serialize_model(graph)
         (outdir / f"{name}.yaml").write_text(out)
         prof = aggregate(graph)
