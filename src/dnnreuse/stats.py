@@ -149,7 +149,16 @@ def _check_epsilon(epsilon: float):
 
 
 def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.005) -> CalibrationCurve:
-    """Correlate DI(alpha) against efficiency over the grid; pick the plateau."""
+    """Correlate DI(alpha) against efficiency over the grid; pick the plateau.
+
+    Each r_p is `pearson(DI(alpha), efficiencies)` and each r_s is
+    `spearman(DI(alpha), efficiencies)`, to the last bit. r_s comes from
+    one argsort of DI per alpha: the DI ranks, taken in sorted order, are
+    1..n unless DI ties, and the efficiency-rank deviations are permuted to
+    match. Every deviation is computed element by element and every sum is
+    a `math.fsum`, which is correctly rounded in any order, so the
+    permutation changes no float.
+    """
     _check_epsilon(epsilon)
     profiles = list(profiles)
     efficiencies = _floats(efficiencies)
@@ -159,14 +168,19 @@ def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.0
         raise InputError("calibration needs at least 3 networks")
     # the efficiency series and the reuse pairs are fixed, so they are prepared once, not at every alpha
     efficiency = _series(efficiencies)
-    efficiency_ranks = _series(_average_ranks(efficiencies))
+    rank_deviations, rank_total, rank_moment = _series(_average_ranks(efficiencies))
+    untied_ranks = _series([float(rank) for rank in range(1, len(profiles) + 1)])
     grid = alpha_grid(step)
     activation_reuse, weight_reuse = zip(*[(p.activation_reuse, p.weight_reuse) for p in profiles])
     points = []
     for alpha in grid:
         dis = list(map(intensity_at(alpha), activation_reuse, weight_reuse))
         r_p = _correlation(_series(dis), efficiency)
-        r_s = _correlation(_series(_average_ranks(dis)), efficiency_ranks)
+        order = sorted(range(len(dis)), key=dis.__getitem__)
+        ordered = list(map(dis.__getitem__, order))
+        tied = any(map(operator.eq, ordered, ordered[1:]))
+        ranks = _series(_average_ranks(ordered)) if tied else untied_ranks
+        r_s = _correlation(ranks, (list(map(rank_deviations.__getitem__, order)), rank_total, rank_moment))
         points.append(CalibrationPoint(alpha=alpha, r_p=r_p, r_s=r_s))
     curve = CalibrationCurve(
         points=tuple(points),

@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from dnnreuse import stats
 from dnnreuse.errors import DegenerateDataError, InputError
+from dnnreuse.metrics import weighted_intensity
 from dnnreuse.netprofile import NetworkProfile
 from dnnreuse.stats import (
     _average_ranks,
@@ -215,6 +216,42 @@ class TestAlphaSweep:
     def test_non_finite_or_negative_epsilon_rejected(self, epsilon):
         with pytest.raises(InputError, match="epsilon"):
             alpha_sweep(self.profiles(), self.efficiencies(), step=0.2, epsilon=epsilon)
+
+
+# a small pool makes DI and efficiency tie; wide-range floats almost never tie
+SWEEP_VALUES = (st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0]), st.floats(min_value=1e-100, max_value=1e100))
+
+
+@st.composite
+def sweep_inputs(draw):
+    """(weight_reuse, activation_reuse) pairs and matched efficiencies, each from one source."""
+    size = draw(st.integers(min_value=3, max_value=25))
+    ratio, efficiency = draw(st.sampled_from(SWEEP_VALUES)), draw(st.sampled_from(SWEEP_VALUES))
+    pairs = draw(st.lists(st.tuples(ratio, ratio), min_size=size, max_size=size))
+    return pairs, draw(st.lists(efficiency, min_size=size, max_size=size))
+
+
+class TestAlphaSweepIsExact:
+    @given(sweep_inputs())
+    # DI of (1, 3) and (3, 1) ties at alpha 0.5 only, so one sweep ranks both with and without ties
+    @example(inputs=([(1.0, 3.0), (3.0, 1.0), (5.0, 6.0)], [1.0, 2.0, 3.0]))
+    def test_every_point_is_the_standalone_correlation(self, inputs):
+        pairs, efficiencies = inputs
+        profiles = [NetworkProfile.from_reuse(rw, ra) for rw, ra in pairs]
+        try:
+            curve = alpha_sweep(profiles, efficiencies, step=0.05)
+        except DegenerateDataError:
+            # a constant series at some alpha: the standalone functions refuse it too
+            with pytest.raises(DegenerateDataError):
+                for alpha in alpha_grid(0.05):
+                    dis = [weighted_intensity(p, alpha) for p in profiles]
+                    pearson(dis, efficiencies)
+                    spearman(dis, efficiencies)
+            return
+        for point in curve.points:
+            dis = [weighted_intensity(p, point.alpha) for p in profiles]
+            assert point.r_p == pearson(dis, efficiencies)
+            assert point.r_s == spearman(dis, efficiencies)
 
 
 class TestFisherCI:

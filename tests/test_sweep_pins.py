@@ -1,11 +1,14 @@
 """Exactness pins for the calibration sweep.
 
-`calibrate --format json` over a population built here is compared byte
-for byte with `tests/pins/calibrate-ties.json`, recorded before the sweep
-was restructured. The ratios are small integers, so the ratio-form
-profiles rebuild them exactly and many networks tie on DI, on M/W and on
-M/A; the measured efficiencies tie too. Every r_p and r_s must stay the
-same float.
+`calibrate --format json` over two populations built here is compared
+byte for byte with files under `tests/pins/`, each recorded before the
+sweep was restructured, so every r_p and r_s must stay the same float.
+
+- `calibrate-ties.json`: the ratios are small integers, so the ratio-form
+  profiles rebuild them exactly and many networks tie on DI, on M/W and
+  on M/A; the measured efficiencies tie too.
+- `calibrate-untied.json`: the ratios and measurements are full-precision
+  floats, so no two DI values tie at any alpha of a 0.01 grid.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from hypothesis import given, strategies as st
 
 from dnnreuse.cli import main
 from dnnreuse.measure import MEASUREMENT_COLUMNS
-from dnnreuse.stats import _average_ranks
+from dnnreuse.metrics import intensity_at
+from dnnreuse.netprofile import load_profiles
+from dnnreuse.stats import _average_ranks, alpha_grid
 from tests.oracles import tie_averaged_ranks
 
 PINS = pathlib.Path(__file__).resolve().parent / "pins"
@@ -41,14 +46,47 @@ def tied_population(size: int = 300, seed: int = 8) -> tuple[str, str]:
     return "\n".join(profiles) + "\n", "\n".join(measurements) + "\n"
 
 
-def test_calibrate_json_on_a_tied_population_is_pinned(tmp_path):
-    profiles, measurements = tied_population()
+def untied_population(size: int = 500, seed: int = 13) -> tuple[str, str]:
+    """Ratio-form profile CSV and one-device measurement CSV of full-precision floats."""
+    rng = random.Random(seed)
+    profiles = ["model,mc_over_w,mc_over_a,macs"]
+    measurements = [",".join(MEASUREMENT_COLUMNS)]
+    for i in range(size):
+        model = f"net{i:03d}"
+        weight_reuse, activation_reuse = rng.uniform(5, 400), rng.uniform(5, 250)
+        macs = rng.randint(10**8, 10**10)
+        profiles.append(f"{model},{weight_reuse!r},{activation_reuse!r},{macs}")
+        # efficiency grows with DI at alpha 0.8, with noise
+        latency = macs / 1e7 / (0.8 * activation_reuse + 0.2 * weight_reuse) * rng.uniform(0.5, 2.0)
+        measurements.append(f"{model},P100,1,{rng.uniform(30, 60)!r},{latency!r},224,224,")
+    return "\n".join(profiles) + "\n", "\n".join(measurements) + "\n"
+
+
+def calibrate_json(tmp_path, profiles: str, measurements: str, *options: str) -> str:
     (tmp_path / "p.csv").write_text(profiles)
     (tmp_path / "m.csv").write_text(measurements)
     args = ["calibrate", "--profiles", str(tmp_path / "p.csv"), "--measurements", str(tmp_path / "m.csv")]
-    result = CliRunner().invoke(main, args + ["--format", "json"])
+    result = CliRunner().invoke(main, args + ["--format", "json", *options])
     assert result.exit_code == 0, result.output
-    assert result.stdout == (PINS / "calibrate-ties.json").read_text(encoding="utf-8")
+    return result.stdout
+
+
+def test_calibrate_json_on_a_tied_population_is_pinned(tmp_path):
+    stdout = calibrate_json(tmp_path, *tied_population())
+    assert stdout == (PINS / "calibrate-ties.json").read_text(encoding="utf-8")
+
+
+def test_calibrate_json_on_an_untied_population_is_pinned(tmp_path):
+    stdout = calibrate_json(tmp_path, *untied_population(), "--step", "0.01")
+    assert stdout == (PINS / "calibrate-untied.json").read_text(encoding="utf-8")
+
+
+def test_the_untied_population_never_ties_on_di():
+    profiles, _ = untied_population()
+    pairs = [(p.activation_reuse, p.weight_reuse) for p, _ in load_profiles(profiles).values()]
+    for alpha in alpha_grid(0.01):
+        dis = [intensity_at(alpha)(*pair) for pair in pairs]
+        assert len(set(dis)) == len(dis), alpha
 
 
 @given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 1e300, 7.25]), min_size=1, max_size=40))
