@@ -10,17 +10,22 @@ when the analyzer supplies the count from a model document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .document import read_rows
 from .errors import _FLOAT_MAX, InputError, finite
 
 MEASUREMENT_COLUMNS = ("model", "device", "batch", "p_avg_w", "i_t_ms", "input_h", "input_w", "macs")
+# the number columns in header order, each with the type its cells convert to
+_NUMBER_CASTS = (("batch", int), ("p_avg_w", float), ("i_t_ms", float), ("input_h", int), ("input_w", int), ("macs", float))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One observed (model, device, batch) run."""
+class MeasurementRecord(NamedTuple):
+    """One observed (model, device, batch) run.
+
+    A named tuple: immutable, built by position or by keyword, and equal
+    to a plain tuple of the same values in field order.
+    """
 
     model: str
     device: str
@@ -34,14 +39,22 @@ class MeasurementRecord:
 
 def _parse_positive(value: str, column: str, row: int, cast):
     try:
-        parsed = cast(value)
-        if not 0 < parsed <= _FLOAT_MAX:  # the common case skips finite(), whose message the rest need
-            parsed = finite(parsed, column)
+        parsed = finite(cast(value), column)
     except (TypeError, ValueError) as exc:
         raise InputError(f"row {row}: column {column!r} is not a finite number: {exc}") from None
     if parsed <= 0:
         raise InputError(f"row {row}: column {column!r} must be positive, got {value!r}")
     return parsed
+
+
+def _refuse(row: int, cells):
+    """Raise the message of the first number cell of a refused row, in column order, that fails its check.
+
+    A blank macs is never reached: if it is the last cell, one before it fails.
+    """
+    for value, (column, cast) in zip(cells, _NUMBER_CASTS):
+        _parse_positive(value, column, row, cast)
+    raise AssertionError(f"row {row} was refused, but each of its cells passes")
 
 
 def load_measurements(text: str) -> list[MeasurementRecord]:
@@ -63,21 +76,28 @@ def load_measurements(text: str) -> list[MeasurementRecord]:
         model, device, macs = model.strip(), device.strip(), macs.strip()
         if not model or not device:
             raise InputError(f"row {i}: model and device must be non-empty")
-        record = MeasurementRecord(
-            model=model,
-            device=device,
-            batch=_parse_positive(batch, "batch", i, int),
-            p_avg_w=_parse_positive(p_avg_w, "p_avg_w", i, float),
-            i_t_ms=_parse_positive(i_t_ms, "i_t_ms", i, float),
-            input_h=_parse_positive(input_h, "input_h", i, int),
-            input_w=_parse_positive(input_w, "input_w", i, int),
-            macs=_parse_positive(macs, "macs", i, float) if macs else None,
-        )
-        key = (record.model, record.device, record.batch)
+        # a row is accepted when every number lies in (0, float max], which NaN fails; only a refused
+        # row goes cell by cell through _parse_positive, for the message of the first cell that fails
+        try:
+            b, p, t, h, w = int(batch), float(p_avg_w), float(i_t_ms), int(input_h), int(input_w)
+            m = float(macs) if macs else None
+            accepted = (
+                0 < b <= _FLOAT_MAX
+                and 0 < p <= _FLOAT_MAX
+                and 0 < t <= _FLOAT_MAX
+                and 0 < h <= _FLOAT_MAX
+                and 0 < w <= _FLOAT_MAX
+                and (m is None or 0 < m <= _FLOAT_MAX)
+            )
+        except ValueError:
+            accepted = False
+        if not accepted:
+            _refuse(i, (batch, p_avg_w, i_t_ms, input_h, input_w, macs))
+        key = (model, device, b)
         if key in seen:
             raise InputError(f"row {i}: duplicate (model, device, batch) key {key}")
         seen.add(key)
-        records.append(record)
+        records.append(MeasurementRecord(model, device, b, p, t, h, w, m))
     return records
 
 

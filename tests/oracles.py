@@ -7,6 +7,8 @@ code or algebra with the library, so agreement is meaningful.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 
 from dnnreuse.graph import ModelGraph
 
@@ -134,3 +136,43 @@ def tie_averaged_ranks(values):
         tied = sum(1 for u in values if u == v)
         ranks.append(below + (tied + 1) / 2)
     return ranks
+
+
+def longhand_measurements(rows):
+    """(records, None) for measurement rows that are all accepted, or (None, message) for the first refused.
+
+    Each row holds its eight fields in header order, and the first is CSV
+    row 2. A record is a plain tuple. Cells are judged one at a time, in
+    column order: a blank `macs` (after trimming) is None; any other cell
+    must convert, be finite and be positive.
+    """
+    number_columns = (("batch", int), ("p_avg_w", float), ("i_t_ms", float), ("input_h", int), ("input_w", int), ("macs", float))
+    records, keys = [], []
+    for number, fields in enumerate(rows, start=2):
+        model, device = fields[0].strip(), fields[1].strip()
+        if model == "" or device == "":
+            return None, f"row {number}: model and device must be non-empty"
+        values = []
+        for (column, kind), text in zip(number_columns, fields[2:]):
+            if column == "macs":
+                text = text.strip()
+                if text == "":
+                    values.append(None)
+                    continue
+            try:
+                value = kind(text)
+            except ValueError as exc:
+                return None, f"row {number}: column {column!r} is not a finite number: {exc}"
+            is_finite = abs(value) <= sys.float_info.max if kind is int else math.isfinite(value)
+            if not is_finite:
+                reason = f"{column} must be a finite number, got {reprlib.repr(value)}"
+                return None, f"row {number}: column {column!r} is not a finite number: {reason}"
+            if value <= 0:
+                return None, f"row {number}: column {column!r} must be positive, got {text!r}"
+            values.append(value)
+        key = (model, device, values[0])
+        if key in keys:
+            return None, f"row {number}: duplicate (model, device, batch) key {key}"
+        keys.append(key)
+        records.append((model, device, *values))
+    return records, None

@@ -3,12 +3,48 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dnnreuse.errors import InputError
 from dnnreuse.measure import MeasurementRecord, energy_efficiency, load_measurements
+from tests.oracles import longhand_measurements
 
 HEADER = "model,device,batch,p_avg_w,i_t_ms,input_h,input_w,macs\n"
+# the six number cells, batch to macs, each drawn as an accepted value or as one of the cells that test the checks
+INT_CELLS = st.integers(1, 10**9).map(str)
+FLOAT_CELLS = st.floats(min_value=5e-324, max_value=1e300).map(repr)
+PLAIN_CELLS = (INT_CELLS, FLOAT_CELLS, FLOAT_CELLS, INT_CELLS, INT_CELLS, FLOAT_CELLS | st.just(""))
+EDGE_CELLS = ("", "  ", "0", "-1", " -1 ", "1.5", " 4 ", "nan", "inf", "-inf", "1e999", "1e3", "9" * 400, "7" * 5000, "abc")
+
+
+@st.composite
+def measurement_rows(draw):
+    """One to three rows of distinct models; in about half the rows, some number cells come from EDGE_CELLS."""
+    rows = []
+    for model in ("m0", "m1", "m2")[: draw(st.integers(1, 3))]:
+        cells = [draw(plain) for plain in PLAIN_CELLS]
+        if draw(st.booleans()):
+            for column in draw(st.sets(st.sampled_from(range(6)), min_size=1)):
+                cells[column] = draw(st.sampled_from(EDGE_CELLS))
+        rows.append([model, "d", *cells])
+    return rows
+
+
+def assert_agrees_with_oracle(rows):
+    """load_measurements gives longhand_measurements' records, with int and float cells, or its exact message."""
+    text = HEADER + "".join(",".join(row) + "\n" for row in rows)
+    expected, message = longhand_measurements(rows)
+    if message is not None:
+        with pytest.raises(InputError) as refused:
+            load_measurements(text)
+        assert str(refused.value) == message
+        return
+    records = load_measurements(text)
+    assert records == expected
+    for r in records:
+        assert type(r.batch) is type(r.input_h) is type(r.input_w) is int
+        assert type(r.p_avg_w) is type(r.i_t_ms) is float
+        assert r.macs is None or type(r.macs) is float
 
 
 class TestLoadMeasurements:
@@ -48,6 +84,47 @@ class TestLoadMeasurements:
     def test_same_model_on_two_devices_is_fine(self):
         text = HEADER + "m,d0,1,1,1,8,8,\nm,d1,1,2,2,8,8,\n"
         assert len(load_measurements(text)) == 2
+
+    def test_batch_is_keyed_by_its_number_not_its_text(self):
+        with pytest.raises(InputError, match=r"^row 3: duplicate \(model, device, batch\) key \('m', 'd', 4\)$"):
+            load_measurements(HEADER + "m,d,4,1,1,8,8,\nm,d,04,2,2,8,8,\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=measurement_rows())
+    @example(rows=[["m0", "d", " 4 ", "1e3", "2.5", "8", "8", ""]])
+    @example(rows=[["m0", "d", "9" * 400, "nan", "0", "1.5", "abc", "-1"]])
+    def test_every_row_agrees_with_a_cell_by_cell_oracle(self, rows):
+        assert_agrees_with_oracle(rows)
+
+    @pytest.mark.parametrize("cell", EDGE_CELLS)
+    def test_each_edge_cell_in_each_column_agrees_with_the_oracle(self, cell):
+        for column in range(6):
+            cells = ["3", "2.5", "7.25", "8", "8", "1000"]
+            cells[column] = cell
+            assert_agrees_with_oracle([["m", "d", *cells]])
+
+
+class TestMeasurementRecord:
+    def test_fields_cannot_be_assigned(self):
+        r = MeasurementRecord("m", "d", 1, 4.0, 250.0, 8, 8)
+        with pytest.raises(AttributeError):
+            r.batch = 2
+        with pytest.raises(AttributeError):
+            r.macs = 1e9
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_position = MeasurementRecord("m", "d", 1, 4.0, 250.0, 8, 8, 5e8)
+        by_keyword = MeasurementRecord(
+            model="m", device="d", batch=1, p_avg_w=4.0, i_t_ms=250.0, input_h=8, input_w=8, macs=5e8
+        )
+        assert by_position == by_keyword
+        assert by_keyword.macs == 5e8
+
+    def test_macs_defaults_to_none(self):
+        assert MeasurementRecord("m", "d", 1, 4.0, 250.0, 8, 8).macs is None
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        assert MeasurementRecord("m", "d", 1, 4.0, 250.0, 8, 8) == ("m", "d", 1, 4.0, 250.0, 8, 8, None)
 
 
 class TestEnergyEfficiency:
