@@ -37,23 +37,18 @@ class MeasurementRecord(NamedTuple):
     macs: float | None = None
 
 
-def _parse_positive(value: str, column: str, row: int, cast):
-    try:
-        parsed = finite(cast(value), column)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"row {row}: column {column!r} is not a finite number: {exc}") from None
-    if parsed <= 0:
-        raise InputError(f"row {row}: column {column!r} must be positive, got {value!r}")
-    return parsed
-
-
 def _refuse(row: int, cells):
-    """Raise the message of the first number cell of a refused row, in column order, that fails its check.
+    """Raise the InputError of a refused row, for the first of its number cells, in column order, that fails.
 
     A blank macs is never reached: if it is the last cell, one before it fails.
     """
     for value, (column, cast) in zip(cells, _NUMBER_CASTS):
-        _parse_positive(value, column, row, cast)
+        try:
+            parsed = finite(cast(value), column)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"row {row}: column {column!r} is not a finite number: {exc}") from None
+        if parsed <= 0:
+            raise InputError(f"row {row}: column {column!r} must be positive, got {value!r}")
     raise AssertionError(f"row {row} was refused, but each of its cells passes")
 
 
@@ -77,7 +72,8 @@ def load_measurements(text: str) -> list[MeasurementRecord]:
         if not model or not device:
             raise InputError(f"row {i}: model and device must be non-empty")
         # a row is accepted when every number lies in (0, float max], which NaN fails; only a refused
-        # row goes cell by cell through _parse_positive, for the message of the first cell that fails
+        # row goes cell by cell through _refuse, for the message of the first cell that fails.
+        # These casts are _NUMBER_CASTS unrolled, in its order: a change to one is a change to both.
         try:
             b, p, t, h, w = int(batch), float(p_avg_w), float(i_t_ms), int(input_h), int(input_w)
             m = float(macs) if macs else None

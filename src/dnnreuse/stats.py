@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
+from itertools import repeat
 
 from .errors import DegenerateDataError, InputError, finite
 from .metrics import intensity_at
@@ -124,19 +124,6 @@ def _average_ranks(values) -> list[float]:
     return [(first[v] + last[v]) / 2 for v in values]
 
 
-def _sorted_average_ranks(ordered) -> list[float]:
-    """_average_ranks of an already sorted list, read off its runs of equal values in one pass."""
-    n = len(ordered)
-    # a run of ties spans the 1-based positions start + 1 .. end, and ends where the next value differs
-    ends = [*compress(range(1, n), map(operator.ne, ordered, ordered[1:])), n]
-    ranks = []
-    start = 0
-    for end in ends:
-        ranks += repeat((start + 1 + end) / 2, end - start)
-        start = end
-    return ranks
-
-
 def spearman(xs, ys) -> float:
     """Rank correlation: pearson over average ranks, ties get their mean rank."""
     xs, ys = _validate_pair(xs, ys)
@@ -195,7 +182,7 @@ def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.0
         order.sort(key=dis.__getitem__)  # DI moves little between alphas, so Timsort gets a nearly sorted list
         ordered = list(map(dis.__getitem__, order))
         tied = any(map(operator.eq, ordered, ordered[1:]))
-        ranks = _series(_sorted_average_ranks(ordered)) if tied else untied_ranks
+        ranks = _series(_average_ranks(ordered)) if tied else untied_ranks
         r_s = _correlation(ranks, (list(map(rank_deviations.__getitem__, order)), rank_total, rank_moment))
         points.append(CalibrationPoint(alpha=alpha, r_p=r_p, r_s=r_s))
     curve = CalibrationCurve(
