@@ -22,7 +22,7 @@ from .graph import (
     serialize_model,
     topo_order,
 )
-from .layercost import LayerCost, closed_form_ai, conv_cost, fc_cost, layer_cost
+from .layercost import LayerCost, closed_form_ai, layer_cost
 from .measure import (
     MeasurementRecord,
     energy_efficiency,
@@ -30,10 +30,8 @@ from .measure import (
 )
 from .metrics import (
     CaseTag,
-    DerivedMetrics,
     ai_from_reuse,
     classify_case,
-    derive_metrics,
     disparity,
     reuse_bound_holds,
     weighted_intensity,

@@ -28,7 +28,7 @@ from .document import read_rows
 from .errors import DegenerateDataError, InputError, finite
 from .graph import parse_model
 from .measure import energy_efficiency, load_measurements
-from .metrics import DEFAULT_ALPHA, TAU_HIGH, TAU_LOW, derive_metrics, weighted_intensity
+from .metrics import DEFAULT_ALPHA, TAU_HIGH, TAU_LOW, classify_case, disparity, weighted_intensity
 from .netprofile import aggregate, batch_scale, layerwise_ai_stats, load_profiles
 from .roofline import load_hardware_spec, roofline_points
 from .stats import alpha_sweep, fisher_ci, pearson, spearman
@@ -125,11 +125,11 @@ def analyze(models, batch, alpha, tau_low, tau_high, fmt):
     for path in models:
         graph = _load_graph(path)
         p = batch_scale(aggregate(graph), batch)
-        d = derive_metrics(p, alpha=alpha, tau_low=tau_low, tau_high=tau_high)
+        di, d_f, case = weighted_intensity(p, alpha), disparity(p, alpha), classify_case(p, tau_low, tau_high)
         # asdict adds macs, weights, activations and peak_concurrent; batch keeps its place
         record = {"model": graph.name, "batch": batch, **dataclasses.asdict(p)}
         record.update(ai_c=p.ai_c, weight_reuse=p.weight_reuse, activation_reuse=p.activation_reuse)
-        record.update(a_over_w=p.a_over_w, alpha=d.alpha, di=d.di, d_f=d.d_f, case=d.case_tag.value)
+        record.update(a_over_w=p.a_over_w, alpha=alpha, di=di, d_f=d_f, case=case.value)
         records.append(record)
     columns = {
         "model": TEXT, "macs": COUNT, "weights": COUNT, "activations": COUNT, "peak_concurrent": COUNT,

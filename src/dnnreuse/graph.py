@@ -15,7 +15,11 @@ Exactly one layer has kind "input"; its shape comes from the top-level
 parse_model maps a document to layers and fills each kind's defaults;
 ModelGraph checks the layers, parsed or built by hand: each kind's
 parameters, the in-place flag, names and edges (see topo_order), then
-fills every layer's output shape and cost (see infer_shapes).
+fills every layer's output shape and cost (see infer_shapes). Shape
+inference makes the checks that need shapes (a kernel larger than its
+padded input, groups that do not divide both channel counts, add and
+concat operands that disagree) and hands each checked shape to
+layercost.layer_cost.
 
 dnnreuse.document loads the text: a document starting with `{` is read
 by json.loads, falling back to YAML if it is not JSON, and YAML is read
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from . import layercost
 from .document import load_document
 from .errors import _FLOAT_MAX, InputError, sorted_keys
 
@@ -65,7 +70,6 @@ class ShapeError(ModelError):
     """Shape inference produced a non-positive or inconsistent dimension."""
 
 
-LAYER_KINDS = ("input", "conv", "fc", "pool", "relu", "batchnorm", "add", "concat")
 IN_PLACE_KINDS = ("relu", "batchnorm")
 
 # Parameter schema per kind: {param: (document default, minimum)}; a default of None means required.
@@ -91,6 +95,7 @@ _PARAM_SCHEMA = {
     "add": {},
     "concat": {},
 }
+LAYER_KINDS = tuple(_PARAM_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,10 @@ class LayerSpec:
 class ModelGraph:
     """Layers in execution order plus the network input shape.
 
-    The constructor checks the layers it is given, whether parsed or
-    built by hand (see topo_order), and stores them in execution order:
-    producers precede consumers, ties kept in the given order. Every
+    The constructor refuses a name that is not a non-empty string, reads
+    `layers` (any iterable of LayerSpec) once, checks the layers, whether
+    parsed or built by hand (see topo_order), and stores them in execution
+    order: producers precede consumers, ties kept in the given order. Every
     pass walks `layers`. It then fills `shapes` (name to output TensorShape)
     and `costs` (name to LayerCost) through infer_shapes; neither can be
     passed in or replace()d, so both always match the layers and input.
@@ -144,8 +150,15 @@ class ModelGraph:
     costs: dict = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise ModelSyntaxError(f"name must be a non-empty string, got {reprlib.repr(self.name)}")
         if not isinstance(self.input_shape, TensorShape):
             raise ShapeError(f"input_shape must be a TensorShape, got {type(self.input_shape).__name__}")
+        try:
+            iter(self.layers)
+        except TypeError:
+            raise ModelSyntaxError(f"layers must be an iterable of LayerSpec, got {type(self.layers).__name__}") from None
+        object.__setattr__(self, "layers", tuple(self.layers))  # a generator is read once; topo_order walks layers several times
         object.__setattr__(self, "layers", tuple(topo_order(self)))
         shapes, costs = infer_shapes(self.layers, self.input_shape)
         object.__setattr__(self, "shapes", shapes)
@@ -200,7 +213,10 @@ def _parse_layer(raw, position) -> LayerSpec:
 
 
 def _check_fields(spec: LayerSpec, position: int) -> None:
-    """Refuse a name or inputs that are not strings, parameters outside a known kind's schema, and a misplaced in_place."""
+    """Refuse a non-LayerSpec, a name or inputs that are not strings, parameters outside a known kind's schema,
+    and a misplaced in_place."""
+    if not isinstance(spec, LayerSpec):
+        raise ModelSyntaxError(f"layers[{position}] must be a LayerSpec, got {type(spec).__name__}")
     if not isinstance(spec.name, str) or not spec.name:
         raise ModelSyntaxError(f"layers[{position}] needs a non-empty string `name`")
     where = f"layer {spec.name!r}: "  # formatted once per layer, not once per parameter
@@ -277,11 +293,12 @@ def serialize_model(graph: ModelGraph) -> str:
 def topo_order(graph: ModelGraph) -> list[LayerSpec]:
     """Layers ordered so producers precede consumers, after checking them.
 
-    Refuses, each over all layers in turn: a name or inputs that are not
-    strings and fields a layer's kind does not allow (_check_fields), an
-    unknown kind, a repeated name, other than exactly one input layer, a
-    wrong number of inputs, an input naming no layer, and a cycle. Ties are broken by declaration order, which
-    keeps every report and golden file deterministic.
+    Refuses, each over all layers in turn: a layer that is not a LayerSpec,
+    a name or inputs that are not strings and fields a layer's kind does
+    not allow (_check_fields), an unknown kind, a repeated name, other than
+    exactly one input layer, a wrong number of inputs, an input naming no
+    layer, and a cycle. Ties are broken by declaration order, which keeps
+    every report and golden file deterministic.
     """
     layers = graph.layers
     for i, spec in enumerate(layers):
@@ -340,8 +357,6 @@ def _conv_like_shape(spec: LayerSpec, in_shape: TensorShape, channels: int) -> T
 
 def infer_shapes(layers, input_shape: TensorShape) -> tuple[dict, dict]:
     """(shapes, costs): each layer's output TensorShape and LayerCost by name; `layers` as ModelGraph stores them."""
-    from .layercost import layer_cost  # layercost imports this module
-
     shapes: dict[str, TensorShape] = {}
     costs = {}
     for spec in layers:
@@ -350,6 +365,9 @@ def infer_shapes(layers, input_shape: TensorShape) -> tuple[dict, dict]:
             out = input_shape
         elif spec.kind == "conv":
             out = _conv_like_shape(spec, ins[0], spec.params["out_channels"])
+            m, n, g = ins[0].channels, out.channels, spec.params["groups"]
+            if m % g or n % g:
+                raise ShapeError(f"layer {spec.name!r}: groups {g} must divide input channels {m} and out_channels {n}")
         elif spec.kind == "pool":
             out = _conv_like_shape(spec, ins[0], ins[0].channels)
         elif spec.kind == "fc":
@@ -365,7 +383,7 @@ def infer_shapes(layers, input_shape: TensorShape) -> tuple[dict, dict]:
                 raise ShapeError(f"layer {spec.name!r}: concat operands disagree on spatial dims")
             out = TensorShape(sum(s.channels for s in ins), ins[0].height, ins[0].width)
         shapes[spec.name] = out
-        costs[spec.name] = cost = layer_cost(spec, ins, out)
+        costs[spec.name] = cost = layercost.layer_cost(spec, ins, out)
         # refused here, so every command refuses it alike
         if cost.macs > _FLOAT_MAX or cost.weights > _FLOAT_MAX or cost.activations > _FLOAT_MAX:
             what, count = max(vars(cost).items(), key=lambda item: item[1])

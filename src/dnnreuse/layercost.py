@@ -4,14 +4,22 @@ Convolution covers the standard, pointwise, group, and depthwise
 families through one grouped formula; depthwise is the g = M = N
 special case. Biases are excluded from weight counts everywhere, and
 pooling is counted as zero-MAC (comparisons, not multiplies).
+
+layer_cost costs every kind in one function and takes the shapes as
+graph.infer_shapes produces them, already checked: the groups check
+(groups must divide both channel counts) is the graph's, made while it
+shapes a conv layer, before the layer is costed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .graph import LayerSpec, ShapeError, TensorShape
+
+if TYPE_CHECKING:  # graph imports this module to cost each layer it shapes
+    from .graph import LayerSpec, TensorShape
 
 CONV_FAMILIES = ("standard", "pointwise", "group", "depthwise")
 
@@ -40,55 +48,26 @@ class LayerCost:
         return self.macs / self.activations
 
 
-def conv_cost(in_shape: TensorShape, spec: LayerSpec, out_shape: TensorShape) -> LayerCost:
-    """Grouped-convolution cost; g=1 standard, kernel 1x1 pointwise, g=M=N depthwise."""
-    m = in_shape.channels
-    n, g = spec.params["out_channels"], spec.params["groups"]
-    if g < 1 or m % g or n % g:
-        raise ShapeError(f"layer {spec.name!r}: groups {g} must divide input channels {m} and out_channels {n}")
-    kh, kw = spec.params["kernel_h"], spec.params["kernel_w"]
-    if out_shape.channels != n:
-        raise InputError(f"output shape carries {out_shape.channels} channels, conv produces {n}")
-    kernel_volume = (m // g) * kh * kw
-    macs = kernel_volume * n * out_shape.height * out_shape.width
-    weights = kernel_volume * n
-    activations = in_shape.element_count() + out_shape.element_count()
-    return LayerCost(macs, weights, activations)
-
-
-def fc_cost(in_elements: int, out_features: int) -> LayerCost:
-    """Fully connected layer over a flattened input; biases excluded."""
-    if in_elements < 1 or out_features < 1:
-        raise InputError("fc needs at least one input element and one output feature")
-    return LayerCost(in_elements * out_features, in_elements * out_features, in_elements + out_features)
-
-
-def nonconv_cost(kind: str, in_shapes, out_shape: TensorShape, in_place: bool = False) -> LayerCost:
-    """Zero-MAC layers: pooling, elementwise ops, shape plumbing.
-
-    In-place layers reuse their producer's tensor, so they contribute no
-    activations of their own. Batchnorm owns the per-channel affine
-    scale and shift, hence 2C weights.
-    """
-    if kind not in ("pool", "relu", "batchnorm", "add", "concat", "input"):
-        raise InputError(f"nonconv_cost does not handle kind {kind!r}")
-    weights = 2 * out_shape.channels if kind == "batchnorm" else 0
-    if in_place:
-        activations = 0
-    elif kind == "input":
-        activations = out_shape.element_count()
-    else:
-        activations = sum(s.element_count() for s in in_shapes) + out_shape.element_count()
-    return LayerCost(0, weights, activations)
-
-
 def layer_cost(spec: LayerSpec, in_shapes, out_shape: TensorShape) -> LayerCost:
-    """Cost of one layer from the shapes of its inputs and its output."""
+    """Cost of one layer from the shapes of its inputs and its output.
+
+    Only conv (grouped) and fc (over the flattened input) do MACs;
+    batchnorm owns the per-channel affine scale and shift, hence 2C
+    weights. Activations are the input plus the output elements, so the
+    input layer, which has no inputs, counts its output alone; an
+    in-place layer reuses its producer's tensor and counts none.
+    """
     if spec.kind == "conv":
-        return conv_cost(in_shapes[0], spec, out_shape)
-    if spec.kind == "fc":
-        return fc_cost(in_shapes[0].element_count(), spec.params["out_features"])
-    return nonconv_cost(spec.kind, in_shapes, out_shape, spec.in_place)
+        p = spec.params
+        weights = (in_shapes[0].channels // p["groups"]) * p["kernel_h"] * p["kernel_w"] * p["out_channels"]
+        macs = weights * out_shape.height * out_shape.width
+    elif spec.kind == "fc":
+        macs = weights = in_shapes[0].element_count() * spec.params["out_features"]
+    else:
+        macs = 0
+        weights = 2 * out_shape.channels if spec.kind == "batchnorm" else 0
+    activations = 0 if spec.in_place else sum(s.element_count() for s in in_shapes) + out_shape.element_count()
+    return LayerCost(macs, weights, activations)
 
 
 def closed_form_ai(family: str, m: int, n: int, s_k: int, s_o: int, g: int = 1) -> dict:

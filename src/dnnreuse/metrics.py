@@ -18,7 +18,6 @@ not used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateDataError, InputError
@@ -35,14 +34,6 @@ class CaseTag(str, Enum):
     ACTIVATIONS_SCARCE = "ActivationsScarce"
     BALANCED = "Balanced"
     ACTIVATIONS_DOMINANT = "ActivationsDominant"
-
-
-@dataclass(frozen=True)
-class DerivedMetrics:
-    alpha: float
-    di: float
-    d_f: float
-    case_tag: CaseTag
 
 
 def intensity_at(alpha: float):
@@ -89,18 +80,3 @@ def reuse_bound_holds(profile: NetworkProfile, tolerance: float = 1e-9) -> tuple
     bound = (profile.activation_reuse + profile.weight_reuse) / 4
     slack = bound - profile.ai_c
     return slack >= -tolerance * bound, slack
-
-
-def derive_metrics(
-    profile: NetworkProfile,
-    alpha: float = DEFAULT_ALPHA,
-    tau_low: float = TAU_LOW,
-    tau_high: float = TAU_HIGH,
-) -> DerivedMetrics:
-    """Bundle DI, d_f, and the case tag for reporting."""
-    return DerivedMetrics(
-        alpha=alpha,
-        di=weighted_intensity(profile, alpha),
-        d_f=disparity(profile, alpha),
-        case_tag=classify_case(profile, tau_low, tau_high),
-    )

@@ -154,13 +154,13 @@ def aggregate(graph: ModelGraph) -> NetworkProfile:
 
 
 def layerwise_ai_stats(graph: ModelGraph) -> LayerStats:
-    """Intensity per conv/fc layer, with median and population variance."""
+    """Intensity per MAC-bearing (conv or fc) layer, with median and population variance."""
     per_layer = []
     for spec in graph.layers:
-        if spec.kind not in ("conv", "fc"):
+        cost = graph.costs[spec.name]
+        if cost.macs == 0:
             continue
         produced = graph.shapes[spec.name].element_count()
-        cost = graph.costs[spec.name]
         per_layer.append((spec.name, cost.macs / (cost.weights + produced)))
     if not per_layer:
         raise DegenerateDataError("no MAC-bearing layers")

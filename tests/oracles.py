@@ -10,7 +10,7 @@ import math
 import reprlib
 import sys
 
-from dnnreuse.graph import ModelGraph
+import yaml
 
 
 def brute_force_conv(m, n, kh, kw, ih, iw, oh, ow, g):
@@ -33,8 +33,69 @@ def brute_force_conv(m, n, kh, kw, ih, iw, oh, ow, g):
     return macs, weights, activations
 
 
-def brute_force_peak_activations(graph: ModelGraph) -> int:
-    """Max live data over execution steps, by exhaustive per-step scanning.
+def longhand_layer_costs(text):
+    """{layer name: (macs, weights, activations)} for a model document, from its raw text.
+
+    Reads the document with yaml.safe_load and walks it on its own: a
+    layer is placed once all of its inputs are, whatever order the
+    document lists them in. A conv or pool window's output extent along
+    an axis is the number of places the window fits in the padded input.
+    A parameter the layer leaves out takes its document default: stride
+    1, pad 0, groups 1, and in place for relu and batchnorm alone.
+    """
+    doc = yaml.safe_load(text)
+
+    def volume(shape):
+        channels, height, width = shape
+        return channels * height * width
+
+    def fits(extent, layer, axis):
+        kernel, stride, pad = layer[f"kernel_{axis}"], layer.get(f"stride_{axis}", 1), layer.get(f"pad_{axis}", 0)
+        return len(range(0, extent + 2 * pad - kernel + 1, stride))
+
+    shapes, costs = {}, {}
+    pending = doc["layers"]
+    while pending:
+        waiting = []
+        for layer in pending:
+            if not set(layer.get("inputs", [])) <= shapes.keys():
+                waiting.append(layer)
+                continue
+            kind = layer["kind"]
+            ins = [shapes[ref] for ref in layer.get("inputs", [])]
+            macs = weights = 0
+            if kind == "input":
+                out = (doc["input"]["channels"], doc["input"]["h"], doc["input"]["w"])
+            elif kind in ("conv", "pool"):
+                channels, height, width = ins[0]
+                out = (layer.get("out_channels", channels), fits(height, layer, "h"), fits(width, layer, "w"))
+                if kind == "conv":
+                    # each output channel's filter spans the input channels of its group only
+                    taps = channels // layer.get("groups", 1) * layer["kernel_h"] * layer["kernel_w"]
+                    weights = out[0] * taps
+                    macs = volume(out) * taps  # one MAC per filter tap per output element
+            elif kind == "fc":
+                out = (layer["out_features"], 1, 1)
+                macs = weights = volume(ins[0]) * out[0]  # the input flattened, every element to every feature
+            elif kind == "concat":
+                out = (sum(shape[0] for shape in ins), ins[0][1], ins[0][2])
+            else:  # relu, batchnorm and add keep their input's shape
+                out = ins[0]
+                if kind == "batchnorm":
+                    weights = 2 * out[0]  # a scale and a shift per channel
+            in_place = layer.get("in_place")
+            if in_place is None:
+                in_place = kind in ("relu", "batchnorm")
+            activations = 0 if in_place else sum(volume(shape) for shape in ins) + volume(out)
+            shapes[layer["name"]] = out
+            costs[layer["name"]] = (macs, weights, activations)
+        assert len(waiting) < len(pending), "no layer can be placed: the document has a cycle"
+        pending = waiting
+    return costs
+
+
+def brute_force_peak_activations(graph) -> int:
+    """Max live data over execution steps of a built ModelGraph, by exhaustive per-step scanning.
 
     The schedule repeatedly takes the first listed layer not yet placed
     whose inputs are all placed. For every step, walks the whole

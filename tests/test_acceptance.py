@@ -14,7 +14,7 @@ import random
 import pytest
 
 from dnnreuse.graph import LayerSpec, TensorShape, parse_model
-from dnnreuse.layercost import conv_cost
+from dnnreuse.layercost import layer_cost
 from dnnreuse.measure import load_measurements
 from dnnreuse.metrics import ai_from_reuse, disparity, reuse_bound_holds, weighted_intensity
 from dnnreuse.netprofile import NetworkProfile, aggregate, layerwise_ai_stats
@@ -89,7 +89,7 @@ def test_02_convolution_family_relative_costs():
                 "groups": groups,
             },
         )
-        return conv_cost(TensorShape(256, 28, 28), spec, TensorShape(out_channels, 28, 28))
+        return layer_cost(spec, [TensorShape(256, 28, 28)], TensorShape(out_channels, 28, 28))
 
     standard = cost(256, 3, 1, 1)
     families = {
@@ -172,7 +172,7 @@ def test_05_conv_cost_matches_exhaustive_enumeration():
                 "groups": g,
             },
         )
-        got = conv_cost(TensorShape(m, ih, iw), spec, TensorShape(n, oh, ow))
+        got = layer_cost(spec, [TensorShape(m, ih, iw)], TensorShape(n, oh, ow))
         assert (got.macs, got.weights, got.activations) == brute_force_conv(m, n, kh, kw, ih, iw, oh, ow, g), (
             family,
             (m, n, kh, kw, ih, iw, oh, ow, g),

@@ -210,13 +210,37 @@ def test_hand_built_graph_is_checked_like_a_parsed_one(entry, spec, error, match
             TensorShape(3, 8, 8), LayerSpec("c", "conv", ("d",), None),
             ModelSyntaxError, "^layer 'c': params must be a mapping, got NoneType$",
         ),
+        (TensorShape(3, 8, 8), "conv1", ModelSyntaxError, r"^layers\[1\] must be a LayerSpec, got str$"),
+        (TensorShape(3, 8, 8), {"name": "r"}, ModelSyntaxError, r"^layers\[1\] must be a LayerSpec, got dict$"),
     ],
-    ids=["input-shape-a-tuple", "params-none"],
+    ids=["input-shape-a-tuple", "params-none", "layer-a-str", "layer-a-dict"],
 )
 def test_hand_built_field_of_the_wrong_type_is_a_model_error(input_shape, spec, error, match):
     # no document can carry these, so there is no parsed twin to compare with
     with pytest.raises(error, match=match):
         ModelGraph(name="hand", input_shape=input_shape, layers=(LayerSpec("d", "input"), spec))
+
+
+@pytest.mark.parametrize(
+    "name, layers, match",
+    [
+        (5, (DATA, CONV1), "^name must be a non-empty string, got 5$"),
+        ("", (DATA, CONV1), "^name must be a non-empty string, got ''$"),
+        ("hand", None, "^layers must be an iterable of LayerSpec, got NoneType$"),
+        ("hand", 3, "^layers must be an iterable of LayerSpec, got int$"),
+    ],
+    ids=["int-name", "empty-name", "layers-none", "layers-an-int"],
+)
+def test_hand_built_name_or_layers_of_the_wrong_type_is_a_model_error(name, layers, match):
+    # no document reaches these: parse_model refuses a bad name itself and passes a tuple of LayerSpec
+    with pytest.raises(ModelSyntaxError, match=match):
+        ModelGraph(name=name, input_shape=TensorShape(3, 8, 8), layers=layers)
+
+
+def test_hand_built_layers_may_be_a_generator():
+    # read once, in any order, it builds the same graph as a tuple
+    built = ModelGraph(name="hand", input_shape=TensorShape(3, 8, 8), layers=(DATA, CONV1, RELU1))
+    assert ModelGraph(name="hand", input_shape=TensorShape(3, 8, 8), layers=(s for s in (RELU1, CONV1, DATA))) == built
 
 
 @pytest.fixture(params=["libyaml", "python"])

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnnreuse.errors import InputError
-from dnnreuse.graph import LayerSpec, TensorShape
-from dnnreuse.layercost import closed_form_ai, conv_cost, fc_cost, nonconv_cost
+from dnnreuse.graph import LAYER_KINDS, LayerSpec, TensorShape, parse_model
+from dnnreuse.layercost import LayerCost, closed_form_ai, layer_cost
 
-from oracles import brute_force_conv
+from oracles import brute_force_conv, longhand_layer_costs
 
 
 def make_conv(out_channels, kernel, stride=1, pad=0, groups=1):
@@ -34,7 +34,12 @@ def make_conv(out_channels, kernel, stride=1, pad=0, groups=1):
 
 def square_conv_cost(m, n, s_k, s_o, g=1):
     """Cost with ifmap and ofmap both s_o x s_o (stride 1, same padding)."""
-    return conv_cost(TensorShape(m, s_o, s_o), make_conv(n, s_k, groups=g), TensorShape(n, s_o, s_o))
+    return layer_cost(make_conv(n, s_k, groups=g), [TensorShape(m, s_o, s_o)], TensorShape(n, s_o, s_o))
+
+
+def fc_cost(in_shape, out_features):
+    spec = LayerSpec(name="f", kind="fc", inputs=("x",), params={"out_features": out_features})
+    return layer_cost(spec, [in_shape], TensorShape(out_features, 1, 1))
 
 
 class TestConvCost:
@@ -73,14 +78,10 @@ class TestConvCost:
     def test_rectangular_kernel_and_fmap(self):
         spec = make_conv(out_channels=5, kernel=1)
         spec.params.update({"kernel_h": 3, "kernel_w": 2})
-        got = conv_cost(TensorShape(4, 7, 9), spec, TensorShape(5, 5, 8))
+        got = layer_cost(spec, [TensorShape(4, 7, 9)], TensorShape(5, 5, 8))
         macs, weights, acts = brute_force_conv(4, 5, 3, 2, 7, 9, 5, 8, 1)
         assert (got.macs, got.weights, got.activations) == (macs, weights, acts)
         assert got.weight_reuse() == 5 * 8
-
-    def test_divisibility_violation_rejected(self):
-        with pytest.raises(InputError, match="groups"):
-            square_conv_cost(m=6, n=8, s_k=1, s_o=2, g=4)
 
 
 def random_conv_case(rng):
@@ -107,7 +108,7 @@ def test_conv_cost_matches_loop_nest_enumeration():
         m, n, kh, kw, ih, iw, oh, ow, g = random_conv_case(rng)
         spec = make_conv(n, 1, groups=g)
         spec.params.update({"kernel_h": kh, "kernel_w": kw})
-        got = conv_cost(TensorShape(m, ih, iw), spec, TensorShape(n, oh, ow))
+        got = layer_cost(spec, [TensorShape(m, ih, iw)], TensorShape(n, oh, ow))
         expect = brute_force_conv(m, n, kh, kw, ih, iw, oh, ow, g)
         assert (got.macs, got.weights, got.activations) == expect
 
@@ -130,53 +131,63 @@ def test_conv_cost_matches_loop_nest_enumeration_hypothesis(data):
     ow = data.draw(st.integers(1, 5), label="ow")
     spec = make_conv(n, 1, groups=g)
     spec.params.update({"kernel_h": kh, "kernel_w": kw})
-    got = conv_cost(TensorShape(m, ih, iw), spec, TensorShape(n, oh, ow))
+    got = layer_cost(spec, [TensorShape(m, ih, iw)], TensorShape(n, oh, ow))
     assert (got.macs, got.weights, got.activations) == brute_force_conv(m, n, kh, kw, ih, iw, oh, ow, g)
 
 
 class TestFcCost:
     def test_classifier_head_is_near_unit_intensity(self):
-        got = fc_cost(4096, 1000)
+        got = fc_cost(TensorShape(4096, 1, 1), 1000)
         assert got.macs == got.weights == 4_096_000
         assert got.activations == 5096
         ai = got.macs / (got.weights + got.activations)
         assert ai == pytest.approx(0.99876, abs=1e-5)
 
     def test_unit_case(self):
-        assert fc_cost(1, 1) == fc_cost(1, 1).__class__(1, 1, 2)
+        assert fc_cost(TensorShape(1, 1, 1), 1) == LayerCost(1, 1, 2)
 
     def test_flattened_feature_map(self):
-        assert fc_cost(9216, 4096).macs == 37_748_736
-
-    def test_rejects_empty_input(self):
-        with pytest.raises(InputError):
-            fc_cost(0, 10)
+        assert fc_cost(TensorShape(256, 6, 6), 4096).macs == 37_748_736
 
 
 class TestNonconvCost:
     def test_in_place_relu_contributes_nothing(self):
         shape = TensorShape(64, 224, 224)
-        got = nonconv_cost("relu", [shape], shape, in_place=True)
+        got = layer_cost(LayerSpec("r", "relu", ("x",), in_place=True), [shape], shape)
         assert (got.macs, got.weights, got.activations) == (0, 0, 0)
 
     def test_add_counts_operands_and_result(self):
         shape = TensorShape(256, 14, 14)
-        got = nonconv_cost("add", [shape, shape], shape)
+        got = layer_cost(LayerSpec("a", "add", ("x", "y")), [shape, shape], shape)
         assert got.activations == 3 * 256 * 14 * 14 == 150_528
 
     def test_batchnorm_affine_parameters(self):
         shape = TensorShape(32, 56, 56)
-        got = nonconv_cost("batchnorm", [shape], shape, in_place=False)
+        got = layer_cost(LayerSpec("b", "batchnorm", ("x",), in_place=False), [shape], shape)
         assert (got.macs, got.weights, got.activations) == (0, 64, 2 * 32 * 56 * 56)
 
     def test_input_counts_its_own_elements(self):
         shape = TensorShape(3, 224, 224)
-        got = nonconv_cost("input", [], shape)
+        got = layer_cost(LayerSpec("d", "input"), [], shape)
         assert got.activations == shape.element_count()
 
-    def test_conv_kind_rejected(self):
-        with pytest.raises(InputError):
-            nonconv_cost("conv", [], TensorShape(1, 1, 1))
+
+def test_every_fixture_layer_costs_as_counted_longhand(model_dir):
+    # the graph's cost of each layer, kind by kind, against a walk of the raw document
+    counted, kinds = 0, set()
+    for path in sorted(model_dir.glob("*.yaml")):
+        text = path.read_text()
+        graph = parse_model(text)
+        want = longhand_layer_costs(text)
+        assert graph.costs.keys() == want.keys(), path.name
+        for spec in graph.layers:
+            cost = graph.costs[spec.name]
+            got = (cost.macs, cost.weights, cost.activations)
+            assert got == want[spec.name] and all(type(n) is int for n in got), (path.name, spec.name, got, want[spec.name])
+            kinds.add(spec.kind)
+        counted += len(graph.layers)
+    assert counted == 9025
+    assert kinds == set(LAYER_KINDS)
 
 
 class TestClosedForms:

@@ -10,7 +10,6 @@ from dnnreuse.metrics import (
     CaseTag,
     ai_from_reuse,
     classify_case,
-    derive_metrics,
     disparity,
     reuse_bound_holds,
     weighted_intensity,
@@ -151,16 +150,6 @@ class TestReuseBound:
         assert slack >= -1e-9 * (p.activation_reuse + p.weight_reuse) / 4
         if slack < 1e-12 * p.ai_c:
             assert weights == pytest.approx(activations, rel=1e-5)
-
-
-class TestDeriveMetrics:
-    def test_bundles_consistent_values(self):
-        p = profile_from_reuse(11.85, 361.50)
-        m = derive_metrics(p)
-        assert m.alpha == 0.8
-        assert m.di == weighted_intensity(p, 0.8)
-        assert m.d_f == disparity(p, 0.8)
-        assert m.case_tag is CaseTag.ACTIVATIONS_SCARCE
 
 
 @settings(max_examples=200, deadline=None)

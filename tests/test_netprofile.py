@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnnreuse.errors import DegenerateDataError, InputError
-from dnnreuse.graph import parse_model
-from dnnreuse.layercost import fc_cost
+from dnnreuse.graph import LayerSpec, TensorShape, parse_model
+from dnnreuse.layercost import layer_cost
 from dnnreuse.netprofile import (
     NetworkProfile,
     aggregate,
@@ -245,7 +245,8 @@ class TestBatchScale:
         assert batch_scale(p, 1) == p
 
     def test_fc_dominated_network_becomes_compute_bound(self):
-        cost = fc_cost(4096, 1000)
+        fc = LayerSpec("fc", "fc", ("x",), {"out_features": 1000})
+        cost = layer_cost(fc, [TensorShape(4096, 1, 1)], TensorShape(1000, 1, 1))
         p = NetworkProfile(macs=cost.macs, weights=cost.weights, activations=cost.activations)
         scaled = batch_scale(p, 64)
         assert scaled.weight_reuse == pytest.approx(64, rel=1e-3)
