@@ -50,7 +50,6 @@ from .roofline import (
     HardwareSpec,
     RooflineChart,
     RooflinePoint,
-    attainable_throughput,
     classify,
     load_hardware_spec,
     roofline_points,

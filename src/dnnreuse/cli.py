@@ -15,7 +15,6 @@ exactly), newline line endings.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -126,8 +125,8 @@ def analyze(models, batch, alpha, tau_low, tau_high, fmt):
         graph = _load_graph(path)
         p = batch_scale(aggregate(graph), batch)
         di, d_f, case = weighted_intensity(p, alpha), disparity(p, alpha), classify_case(p, tau_low, tau_high)
-        # asdict adds macs, weights, activations and peak_concurrent; batch keeps its place
-        record = {"model": graph.name, "batch": batch, **dataclasses.asdict(p)}
+        record = {"model": graph.name, "batch": p.batch, "macs": p.macs, "weights": p.weights}
+        record.update(activations=p.activations, peak_concurrent=p.peak_concurrent)
         record.update(ai_c=p.ai_c, weight_reuse=p.weight_reuse, activation_reuse=p.activation_reuse)
         record.update(a_over_w=p.a_over_w, alpha=alpha, di=di, d_f=d_f, case=case.value)
         records.append(record)
@@ -150,8 +149,12 @@ def layers(model, fmt):
     ai_by_name = dict(stats.per_layer_ai)
     rows = []
     for spec in graph.layers:
-        cost = dataclasses.asdict(graph.costs[spec.name])  # macs, weights, activations
-        rows.append({"name": spec.name, "kind": spec.kind, **cost, "ai": ai_by_name.get(spec.name)})
+        cost = graph.costs[spec.name]
+        rows.append({
+            "name": spec.name, "kind": spec.kind,
+            "macs": cost.macs, "weights": cost.weights, "activations": cost.activations,
+            "ai": ai_by_name.get(spec.name),
+        })
     doc = {"model": graph.name, "layers": rows, "ai_median": stats.median, "ai_variance": stats.variance}
     trailer = [{"name": "median", "ai": stats.median}, {"name": "variance", "ai": stats.variance}]
     columns = {"name": TEXT, "kind": TEXT, "macs": COUNT, "weights": COUNT, "activations": COUNT, "ai": RATIO}
@@ -197,7 +200,7 @@ def calibrate(profiles_path, measurements_path, device, batch, step, epsilon, fm
     order = sorted(profiles)
     efficiencies = [energy_efficiency(rec, macs) for rec, macs in map(by_model.get, order)]
     curve = alpha_sweep([profiles[m][0] for m in order], efficiencies, step=step, epsilon=epsilon)
-    points = [dataclasses.asdict(p) for p in curve.points]  # alpha, r_p, r_s
+    points = [{"alpha": p.alpha, "r_p": p.r_p, "r_s": p.r_s} for p in curve.points]
     doc = {"points": points, "selected_alpha": curve.selected_alpha, "epsilon": epsilon, "n": len(order)}
     trailer = {"alpha": "selected_alpha", "r_p": curve.selected_alpha}
     _emit(fmt, doc, {"alpha": RATIO, "r_p": RATIO, "r_s": RATIO}, points + [trailer])
@@ -237,7 +240,10 @@ def roofline(models, hw_path, profiles_path, metric, alpha, mode, bytes_per_elem
         by_model = _measurements_by_model(measurements_path, device, batch, {label: macs for label, _, macs in entries})
         for label, (rec, macs) in by_model.items():
             if macs is not None:
-                measured[label] = rec.batch * macs * ops_per_mac / (rec.i_t_ms / 1000.0)
+                seconds = rec.i_t_ms / 1000.0
+                if seconds == 0.0:  # a positive i_t_ms can still round to zero seconds
+                    raise InputError(f"measurement of {label!r}: i_t_ms {rec.i_t_ms!r} underflows to 0 s")
+                measured[label] = rec.batch * macs * ops_per_mac / seconds
     chart = roofline_points(
         hw, labelled, measured=measured, mode=mode, bytes_per_element=bytes_per_element, flops_per_mac=flops_per_mac
     )

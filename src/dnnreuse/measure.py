@@ -103,4 +103,10 @@ def energy_efficiency(record: MeasurementRecord, macs: float | None = None) -> f
         macs = record.macs
     if macs is None:
         raise InputError(f"record {record.model!r} has no MAC count; efficiency undefined")
-    return record.batch * macs / (record.p_avg_w * record.i_t_ms / 1000.0)
+    joules = record.p_avg_w * record.i_t_ms / 1000.0
+    if joules == 0.0:  # both factors are positive, but their product can round to zero
+        raise InputError(
+            f"record {record.model!r}: p_avg_w * i_t_ms ({record.p_avg_w!r} * {record.i_t_ms!r}) underflows to 0 J; "
+            "efficiency undefined"
+        )
+    return record.batch * macs / joules

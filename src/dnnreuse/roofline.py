@@ -111,23 +111,12 @@ def _conversion(mode: str, bytes_per_element: float, flops_per_mac: float) -> fl
 
 
 def _place(hw: HardwareSpec, factor: float, intensity: float) -> tuple[float, Bound]:
-    """attainable_throughput and classify of one intensity, converted by `factor`."""
+    """Attainable throughput, min(peak, intensity * bandwidth), and bound of one intensity converted by `factor`."""
     if finite(intensity, "intensity") <= 0:
         raise InputError(f"intensity must be positive, got {intensity}")
     ops_per_byte = intensity * factor
     attainable = min(hw.peak_throughput, ops_per_byte * hw.peak_bandwidth)
     return attainable, Bound.COMPUTE if ops_per_byte >= hw.cmr else Bound.MEMORY
-
-
-def attainable_throughput(
-    hw: HardwareSpec,
-    intensity: float,
-    mode: str = "raw",
-    bytes_per_element: float = 4.0,
-    flops_per_mac: float = 2.0,
-) -> float:
-    """min(peak, intensity * bandwidth) in the comparison space."""
-    return _place(hw, _conversion(mode, bytes_per_element, flops_per_mac), intensity)[0]
 
 
 def classify(

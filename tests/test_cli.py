@@ -16,6 +16,7 @@ from dnnreuse.cli import main
 from dnnreuse.graph import parse_model
 
 from conftest import NEGATIVE, assert_exit_2
+from oracles import longhand_layer_costs
 
 TINY_MODEL = """\
 name: tiny
@@ -29,6 +30,16 @@ layers:
 """
 
 HW_SPEC = "name: x\npeak_flops: 1.0e+12\npeak_bandwidth_bytes_per_s: 1.0e+11\n"
+
+
+def measurements_with_alexnet_p100_row(tmp_path, fixture_dir, p_avg_w, i_t_ms) -> str:
+    """Path of a copy of the bundled measurements whose alexnet,P100,1 row holds these two values."""
+    text = (fixture_dir / "measurements.csv").read_text()
+    path = tmp_path / "m.csv"
+    path.write_text(text.replace("alexnet,P100,1,37.0,2.21,", f"alexnet,P100,1,{p_avg_w},{i_t_ms},", 1))
+    assert path.read_text() != text
+    return str(path)
+
 
 POOL_ONLY = """\
 input: {channels: 3, h: 8, w: 8}
@@ -137,6 +148,20 @@ class TestLayers:
         assert payload["ai_median"] == pytest.approx(conv_rows[0]["ai"])
         assert payload["ai_variance"] == 0
 
+    def test_every_fixture_row_counts_as_longhand(self, runner, model_dir):
+        # every layer kind reaches the renderer here: add, concat, fc, pool, and materialised relu and batchnorm
+        paths = sorted(model_dir.glob("*.yaml"))
+        assert len(paths) == 25
+        for path in paths:
+            want = longhand_layer_costs(path.read_text())
+            rows = json.loads(run_ok(runner, ["layers", str(path), "--format", "json"]))["layers"]
+            assert len(rows) == len(want), path.name
+            for row in rows:
+                assert list(row) == ["name", "kind", "macs", "weights", "activations", "ai"], (path.name, row)
+                counts = (row["macs"], row["weights"], row["activations"])
+                assert counts == want[row["name"]] and all(type(n) is int for n in counts), (path.name, row)
+                assert (row["ai"] is None) == (row["macs"] == 0), (path.name, row)
+
     def test_no_mac_layers_exits_3(self, runner, tmp_path):
         path = tmp_path / "pool.yaml"
         path.write_text(POOL_ONLY)
@@ -228,6 +253,26 @@ class TestCalibrate:
         assert "ghost" in result.output
         assert "alexnet" in result.output
 
+    @pytest.mark.parametrize(
+        "p_avg_w, i_t_ms, code, message",
+        [
+            # valid cells whose energy p_avg_w * i_t_ms / 1000 rounds to 0 J
+            ("1e-200", "1e-200", 2, "error: record 'alexnet': p_avg_w * i_t_ms (1e-200 * 1e-200) underflows to 0 J"),
+            ("37.0", "5e-324", 2, "error: record 'alexnet': p_avg_w * i_t_ms (37.0 * 5e-324) underflows to 0 J"),
+            # a nonzero energy small enough that the efficiency overflows to inf
+            ("1e-300", "1e-10", 3, "error: correlation undefined on non-finite values"),
+        ],
+    )
+    def test_tiny_measurement_exits_with_a_message(self, runner, tmp_path, fixture_dir, p_avg_w, i_t_ms, code, message):
+        measurements = measurements_with_alexnet_p100_row(tmp_path, fixture_dir, p_avg_w, i_t_ms)
+        result = runner.invoke(main, [
+            "calibrate", "--profiles", str(fixture_dir / "reference_metrics.csv"),
+            "--measurements", measurements, "--device", "P100",
+        ])
+        assert result.exit_code == code, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith(message)
+
     def test_json_selected_alpha(self, runner, fixture_dir):
         out = run_ok(
             runner,
@@ -316,6 +361,17 @@ class TestRoofline:
         assert result.exit_code == 2, result.output
         assert result.stdout == ""
         assert result.stderr == "error: measured operations per second of 'alexnet' must be a finite number, got inf\n"
+
+    def test_latency_underflowing_to_zero_seconds_exits_2(self, runner, tmp_path, hardware_dir, fixture_dir):
+        # i_t_ms is positive, but i_t_ms / 1000 rounds to 0 s
+        measurements = measurements_with_alexnet_p100_row(tmp_path, fixture_dir, "37.0", "5e-324")
+        result = runner.invoke(main, [
+            "roofline", "--hw", str(hardware_dir / "p100.yaml"), "--profiles", str(fixture_dir / "reference_metrics.csv"),
+            "--measurements", measurements, "--device", "P100",
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == "error: measurement of 'alexnet': i_t_ms 5e-324 underflows to 0 s\n"
 
     def test_unknown_hw_file_exits_2(self, runner, model_dir):
         result = runner.invoke(main, ["roofline", "--hw", "/nonexistent/hw.yaml", str(model_dir / "nin.yaml")])

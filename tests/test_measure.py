@@ -147,6 +147,13 @@ class TestEnergyEfficiency:
         with pytest.raises(InputError, match="^record 'm' has no MAC count; efficiency undefined$"):
             energy_efficiency(r, None)
 
+    @pytest.mark.parametrize("p_avg_w, i_t_ms", [(1e-200, 1e-200), (50.0, 5e-324)])
+    def test_energy_underflowing_to_zero_rejected(self, p_avg_w, i_t_ms):
+        # both cells pass the loader, yet p_avg_w * i_t_ms / 1000 rounds to 0 J
+        r = load_measurements(f"{HEADER}m,d,1,{p_avg_w!r},{i_t_ms!r},8,8,1e9\n")[0]
+        with pytest.raises(InputError, match=r"^record 'm': p_avg_w \* i_t_ms \(.*\) underflows to 0 J; efficiency undefined$"):
+            energy_efficiency(r)
+
     @settings(max_examples=200, deadline=None)
     @given(b=st.integers(1, 32), macs=st.floats(1e6, 1e12))
     def test_invariant_under_batch_doubling_with_macs_halving(self, b, macs):

@@ -8,7 +8,6 @@ from dnnreuse.errors import InputError
 from dnnreuse.roofline import (
     Bound,
     HardwareSpec,
-    attainable_throughput,
     classify,
     load_hardware_spec,
     roofline_points,
@@ -16,6 +15,12 @@ from dnnreuse.roofline import (
 
 P4000 = HardwareSpec(name="P4000", peak_throughput=5.2e12, peak_bandwidth=243e9)
 P100 = HardwareSpec(name="P100", peak_throughput=9.3e12, peak_bandwidth=549e9)
+
+
+def attainable(hw, intensity, **options):
+    """The attainable operations per second that roofline_points gives one intensity."""
+    (point,) = roofline_points(hw, [("x", intensity)], **options).points
+    return point.attainable
 
 
 class TestHardwareSpec:
@@ -147,7 +152,7 @@ class TestClassify:
         with pytest.raises(InputError, match=f"{factor} must be a finite number"):
             classify(P100, 10.0, mode=mode, **{factor: value})
         with pytest.raises(InputError, match=f"{factor} must be a finite number"):
-            attainable_throughput(P100, 10.0, mode=mode, **{factor: value})
+            attainable(P100, 10.0, mode=mode, **{factor: value})
 
     @pytest.mark.parametrize("bytes_per_element, flops_per_mac", [(1e-300, 1e300), (1e300, 1e-300), (1e-308, 2.0)])
     def test_conversion_outside_float_range_rejected(self, bytes_per_element, flops_per_mac):
@@ -159,28 +164,28 @@ class TestClassify:
 
 class TestAttainable:
     def test_memory_bound_value(self):
-        assert attainable_throughput(P4000, 11.48) == pytest.approx(11.48 * 243e9)
-        assert attainable_throughput(P4000, 11.48) < 5.2e12
+        assert attainable(P4000, 11.48) == pytest.approx(11.48 * 243e9)
+        assert attainable(P4000, 11.48) < 5.2e12
 
     def test_compute_bound_saturates_at_peak(self):
-        assert attainable_throughput(P4000, 72.89) == pytest.approx(5.2e12)
+        assert attainable(P4000, 72.89) == pytest.approx(5.2e12)
 
     def test_half_ridge_gives_half_peak(self):
-        assert attainable_throughput(P4000, P4000.cmr / 2) == pytest.approx(5.2e12 / 2)
+        assert attainable(P4000, P4000.cmr / 2) == pytest.approx(5.2e12 / 2)
 
     def test_converted_mode_value(self):
-        got = attainable_throughput(P100, 11.48, mode="converted")
+        got = attainable(P100, 11.48, mode="converted")
         assert got == pytest.approx(11.48 * 0.5 * 549e9)
 
     @given(st.floats(min_value=1e-3, max_value=1e4))
     def test_peak_reached_iff_compute_bound(self, intensity):
-        at_peak = attainable_throughput(P100, intensity) == P100.peak_throughput
+        at_peak = attainable(P100, intensity) == P100.peak_throughput
         assert at_peak == (classify(P100, intensity) is Bound.COMPUTE)
 
     @given(st.floats(min_value=1e-3, max_value=1e4), st.floats(min_value=1.0, max_value=10.0))
     def test_monotone_in_intensity(self, intensity, factor):
-        lower = attainable_throughput(P4000, intensity)
-        higher = attainable_throughput(P4000, intensity * factor)
+        lower = attainable(P4000, intensity)
+        higher = attainable(P4000, intensity * factor)
         assert higher >= lower
 
 
@@ -238,7 +243,7 @@ class TestChart:
         with pytest.raises(InputError, match="float range"):
             roofline_points(hw, self.POINTS)
 
-    def test_attainable_in_chart_matches_direct_call(self):
+    def test_attainable_in_chart_matches_closed_form(self):
         chart = roofline_points(P100, self.POINTS)
         for p in chart.points:
-            assert p.attainable == pytest.approx(attainable_throughput(P100, p.intensity))
+            assert p.attainable == pytest.approx(min(P100.peak_throughput, p.intensity * P100.peak_bandwidth))
