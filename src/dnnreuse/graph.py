@@ -83,7 +83,7 @@ _CONV_PARAMS = {
     "pad_w": (0, 0),
     "groups": (1, 1),
 }
-_LAYER_FIELDS = ("name", "kind", "inputs", "in_place")  # the document fields that are not parameters
+_LAYER_FIELDS = frozenset(("name", "kind", "inputs", "in_place"))  # the document fields that are not parameters
 _POOL_PARAMS = {k: v for k, v in _CONV_PARAMS.items() if k not in ("out_channels", "groups")}
 _PARAM_SCHEMA = {
     "input": {},
@@ -96,6 +96,7 @@ _PARAM_SCHEMA = {
     "concat": {},
 }
 LAYER_KINDS = tuple(_PARAM_SCHEMA)
+_FIELDS = {kind: _LAYER_FIELDS.union(schema) for kind, schema in _PARAM_SCHEMA.items()}  # every field a kind's layer may carry
 
 
 @dataclass(frozen=True)
@@ -198,18 +199,23 @@ def _parse_input_shape(doc) -> TensorShape:
 
 
 def _parse_layer(raw, position) -> LayerSpec:
-    raw = _expect_mapping(raw, f"layers[{position}]")
+    if not isinstance(raw, dict):
+        _expect_mapping(raw, f"layers[{position}]")
     kind = raw.get("kind")
     inputs = raw.get("inputs", ())
     if isinstance(inputs, list):  # anything else is the graph's to refuse
         inputs = tuple(inputs)
-    schema = _PARAM_SCHEMA[kind] if kind in LAYER_KINDS else {}  # a kind may be any value, even unhashable
+    try:
+        schema, fields = _PARAM_SCHEMA[kind], _FIELDS[kind]
+    except (KeyError, TypeError):  # a kind may be any value, even unhashable
+        schema, fields = {}, _LAYER_FIELDS
     params = {key: raw.get(key, default) for key, (default, _) in schema.items() if key in raw or default is not None}
-    params.update({key: value for key, value in raw.items() if key not in params and key not in _LAYER_FIELDS})
+    if not raw.keys() <= fields:  # fields the graph refuses
+        params.update({key: value for key, value in raw.items() if key not in params and key not in _LAYER_FIELDS})
     in_place = raw.get("in_place")
     if in_place is None:  # absent or null: the kind's default
         in_place = kind in IN_PLACE_KINDS
-    return LayerSpec(name=raw.get("name"), kind=kind, inputs=inputs, params=params, in_place=in_place)
+    return LayerSpec(raw.get("name"), kind, inputs, params, in_place)
 
 
 def _check_fields(spec: LayerSpec, position: int) -> None:
@@ -217,25 +223,37 @@ def _check_fields(spec: LayerSpec, position: int) -> None:
     and a misplaced in_place."""
     if not isinstance(spec, LayerSpec):
         raise ModelSyntaxError(f"layers[{position}] must be a LayerSpec, got {type(spec).__name__}")
-    if not isinstance(spec.name, str) or not spec.name:
+    name, kind, params = spec.name, spec.kind, spec.params
+    if not isinstance(name, str) or not name:
         raise ModelSyntaxError(f"layers[{position}] needs a non-empty string `name`")
-    where = f"layer {spec.name!r}: "  # formatted once per layer, not once per parameter
-    if not isinstance(spec.inputs, (tuple, list)) or not all(isinstance(ref, str) for ref in spec.inputs):
-        raise ModelSyntaxError(f"{where}`inputs` must be a list of layer names")
-    if spec.kind not in LAYER_KINDS:
+    # str.__instancecheck__(ref) is isinstance(ref, str), called from C for each ref
+    if not isinstance(spec.inputs, (tuple, list)) or not all(map(str.__instancecheck__, spec.inputs)):
+        raise ModelSyntaxError(f"layer {name!r}: `inputs` must be a list of layer names")
+    try:
+        schema = _PARAM_SCHEMA[kind]
+    except (KeyError, TypeError):  # a kind may be any value, even unhashable
         return  # topo_order names the kind
-    schema = _PARAM_SCHEMA[spec.kind]
-    extra = _expect_mapping(spec.params, where + "params").keys() - schema.keys()
-    if extra:
-        raise ModelSyntaxError(f"{where}unknown fields for kind {spec.kind}: {sorted_keys(extra)}")
-    for key, (_, minimum) in schema.items():
-        if key not in spec.params:
-            raise ModelSyntaxError(f"{where}kind {spec.kind} requires `{key}`")
-        _positive_int(spec.params[key], where + key, minimum)
-    if spec.in_place is not False and spec.kind not in IN_PLACE_KINDS:
-        raise ModelSyntaxError(f"{where}in_place only applies to relu/batchnorm")
+    # Accept path: a dict as large as the schema that holds every schema key holds no other key, and an exact
+    # int within [minimum, _FLOAT_MAX] is what _positive_int accepts. Anything else takes the checks below, in order.
+    accepted = type(params) is dict and len(params) == len(schema)
+    for key, (_, minimum) in schema.items() if accepted else ():
+        value = params.get(key)
+        if type(value) is not int or not minimum <= value <= _FLOAT_MAX:
+            accepted = False
+            break
+    if not accepted:
+        where = f"layer {name!r}: "
+        extra = _expect_mapping(params, where + "params").keys() - schema.keys()
+        if extra:
+            raise ModelSyntaxError(f"{where}unknown fields for kind {kind}: {sorted_keys(extra)}")
+        for key, (_, minimum) in schema.items():
+            if key not in params:
+                raise ModelSyntaxError(f"{where}kind {kind} requires `{key}`")
+            _positive_int(params[key], where + key, minimum)
+    if spec.in_place is not False and kind not in IN_PLACE_KINDS:
+        raise ModelSyntaxError(f"layer {name!r}: in_place only applies to relu/batchnorm")
     if not isinstance(spec.in_place, bool):
-        raise ModelSyntaxError(f"{where}in_place must be a boolean")
+        raise ModelSyntaxError(f"layer {name!r}: in_place must be a boolean")
 
 
 # Length of the `inputs` list per kind as (min, max); every kind not listed takes exactly one.
@@ -298,7 +316,8 @@ def topo_order(graph: ModelGraph) -> list[LayerSpec]:
     not allow (_check_fields), an unknown kind, a repeated name, other than
     exactly one input layer, a wrong number of inputs, an input naming no
     layer, and a cycle. Ties are broken by declaration order, which keeps
-    every report and golden file deterministic.
+    every report and golden file deterministic: a listing in which every
+    input comes before its consumer comes back unchanged.
     """
     layers = graph.layers
     for i, spec in enumerate(layers):
@@ -315,18 +334,30 @@ def topo_order(graph: ModelGraph) -> list[LayerSpec]:
     if input_nodes != 1:
         raise ModelSyntaxError(f"exactly one kind=input layer required, found {input_nodes}")
 
+    producers_first = True
+    for i, spec in enumerate(layers):
+        lo, hi = _ARITY.get(spec.kind, (1, 1))
+        count = len(spec.inputs)
+        if count < lo or (hi is not None and count > hi):
+            want = f"exactly {lo}" if lo == hi else f"at least {lo}"
+            raise ModelSyntaxError(f"layer {spec.name!r}: kind {spec.kind} takes {want} input(s), got {count}")
+        for ref in spec.inputs:
+            j = position.get(ref)
+            if j is None:
+                raise DanglingInputError(f"layer {spec.name!r}: input {ref!r} does not exist")
+            if j >= i:
+                producers_first = False
+    # Kahn's algorithm below always pops the ready layer listed first. When every input is listed before its
+    # consumer, the layer after those placed is always ready and listed first of the rest, so it pops the
+    # listing order itself.
+    if producers_first:
+        return list(layers)
+
     indegree = [len(spec.inputs) for spec in layers]
     consumers: list[list[int]] = [[] for _ in layers]
     for i, spec in enumerate(layers):
-        lo, hi = _ARITY.get(spec.kind, (1, 1))
-        if indegree[i] < lo or (hi is not None and indegree[i] > hi):
-            want = f"exactly {lo}" if lo == hi else f"at least {lo}"
-            raise ModelSyntaxError(f"layer {spec.name!r}: kind {spec.kind} takes {want} input(s), got {indegree[i]}")
         for ref in spec.inputs:
-            if ref not in position:
-                raise DanglingInputError(f"layer {spec.name!r}: input {ref!r} does not exist")
             consumers[position[ref]].append(i)
-
     ready = [i for i, d in enumerate(indegree) if d == 0]  # ascending, so already a heap
     ordered = []
     while ready:
@@ -359,22 +390,24 @@ def infer_shapes(layers, input_shape: TensorShape) -> tuple[dict, dict]:
     """(shapes, costs): each layer's output TensorShape and LayerCost by name; `layers` as ModelGraph stores them."""
     shapes: dict[str, TensorShape] = {}
     costs = {}
+    shape_of = shapes.__getitem__
     for spec in layers:
-        ins = [shapes[ref] for ref in spec.inputs]
-        if spec.kind == "input":
+        ins = [*map(shape_of, spec.inputs)]
+        kind = spec.kind
+        if kind == "input":
             out = input_shape
-        elif spec.kind == "conv":
+        elif kind == "conv":
             out = _conv_like_shape(spec, ins[0], spec.params["out_channels"])
             m, n, g = ins[0].channels, out.channels, spec.params["groups"]
             if m % g or n % g:
                 raise ShapeError(f"layer {spec.name!r}: groups {g} must divide input channels {m} and out_channels {n}")
-        elif spec.kind == "pool":
+        elif kind == "pool":
             out = _conv_like_shape(spec, ins[0], ins[0].channels)
-        elif spec.kind == "fc":
+        elif kind == "fc":
             out = TensorShape(spec.params["out_features"], 1, 1)
-        elif spec.kind in ("relu", "batchnorm"):
+        elif kind in ("relu", "batchnorm"):
             out = ins[0]
-        elif spec.kind == "add":
+        elif kind == "add":
             if any(s != ins[0] for s in ins[1:]):
                 raise ShapeError(f"layer {spec.name!r}: add operands disagree: {[tuple((s.channels, s.height, s.width)) for s in ins]}")
             out = ins[0]

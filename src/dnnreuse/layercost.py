@@ -57,15 +57,16 @@ def layer_cost(spec: LayerSpec, in_shapes, out_shape: TensorShape) -> LayerCost:
     input layer, which has no inputs, counts its output alone; an
     in-place layer reuses its producer's tensor and counts none.
     """
-    if spec.kind == "conv":
+    kind = spec.kind
+    if kind == "conv":
         p = spec.params
         weights = (in_shapes[0].channels // p["groups"]) * p["kernel_h"] * p["kernel_w"] * p["out_channels"]
         macs = weights * out_shape.height * out_shape.width
-    elif spec.kind == "fc":
+    elif kind == "fc":
         macs = weights = in_shapes[0].element_count() * spec.params["out_features"]
     else:
         macs = 0
-        weights = 2 * out_shape.channels if spec.kind == "batchnorm" else 0
+        weights = 2 * out_shape.channels if kind == "batchnorm" else 0
     activations = 0 if spec.in_place else sum(s.element_count() for s in in_shapes) + out_shape.element_count()
     return LayerCost(macs, weights, activations)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .document import read_rows
-from .errors import _FLOAT_MAX, InputError, finite
+from .errors import _FLOAT_MAX, DegenerateDataError, InputError, finite
 
 MEASUREMENT_COLUMNS = ("model", "device", "batch", "p_avg_w", "i_t_ms", "input_h", "input_w", "macs")
 # the number columns in header order, each with the type its cells convert to
@@ -109,4 +109,10 @@ def energy_efficiency(record: MeasurementRecord, macs: float | None = None) -> f
             f"record {record.model!r}: p_avg_w * i_t_ms ({record.p_avg_w!r} * {record.i_t_ms!r}) underflows to 0 J; "
             "efficiency undefined"
         )
-    return record.batch * macs / joules
+    efficiency = record.batch * macs / joules
+    if efficiency > _FLOAT_MAX:  # a positive energy can be small enough to overflow the quotient
+        raise DegenerateDataError(
+            f"record {record.model!r}: batch * macs / energy ({record.batch} * {macs!r} / {joules!r} J) overflows to inf; "
+            "efficiency undefined"
+        )
+    return efficiency

@@ -94,22 +94,28 @@ def longhand_layer_costs(text):
     return costs
 
 
+def longhand_topo_order(layers) -> list:
+    """The layers in the order a scheduler places them that repeatedly takes the first listed layer not yet
+    placed whose inputs are all placed. The layers must form an acyclic graph."""
+    order = []
+    placed = set()
+    while len(order) < len(layers):
+        spec = next(s for s in layers if s.name not in placed and placed.issuperset(s.inputs))
+        order.append(spec)
+        placed.add(spec.name)
+    return order
+
+
 def brute_force_peak_activations(graph) -> int:
     """Max live data over execution steps of a built ModelGraph, by exhaustive per-step scanning.
 
-    The schedule repeatedly takes the first listed layer not yet placed
-    whose inputs are all placed. For every step, walks the whole
+    The schedule is longhand_topo_order's. For every step, walks the whole
     schedule to decide which tensors are still needed. In-place layers
     write into their producer's tensor, so a chain of aliases is
     collapsed to the original storage.
     """
     spec_of = {spec.name: spec for spec in graph.layers}
-    order = []
-    placed = set()
-    while len(order) < len(spec_of):
-        spec = next(s for s in graph.layers if s.name not in placed and placed.issuperset(s.inputs))
-        order.append(spec)
-        placed.add(spec.name)
+    order = longhand_topo_order(graph.layers)
     step_of = {spec.name: i for i, spec in enumerate(order)}
 
     def storage(name):

@@ -260,7 +260,7 @@ class TestCalibrate:
             ("1e-200", "1e-200", 2, "error: record 'alexnet': p_avg_w * i_t_ms (1e-200 * 1e-200) underflows to 0 J"),
             ("37.0", "5e-324", 2, "error: record 'alexnet': p_avg_w * i_t_ms (37.0 * 5e-324) underflows to 0 J"),
             # a nonzero energy small enough that the efficiency overflows to inf
-            ("1e-300", "1e-10", 3, "error: correlation undefined on non-finite values"),
+            ("1e-300", "1e-10", 3, "error: record 'alexnet': batch * macs / energy (1 * 724406816.0 / 1e-313 J) overflows to inf"),
         ],
     )
     def test_tiny_measurement_exits_with_a_message(self, runner, tmp_path, fixture_dir, p_avg_w, i_t_ms, code, message):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import os
 import pathlib
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -19,6 +21,7 @@ from dnnreuse.graph import (
     DanglingInputError,
     DuplicateNameError,
     LayerSpec,
+    ModelError,
     ModelGraph,
     ModelSyntaxError,
     ShapeError,
@@ -29,7 +32,9 @@ from dnnreuse.graph import (
     serialize_model,
     topo_order,
 )
+from dnnreuse.layercost import LayerCost
 from dnnreuse.netprofile import aggregate
+from oracles import longhand_topo_order
 
 SMALLEST = """
 input: {channels: 3, h: 224, w: 224}
@@ -235,6 +240,111 @@ def test_hand_built_name_or_layers_of_the_wrong_type_is_a_model_error(name, laye
     # no document reaches these: parse_model refuses a bad name itself and passes a tuple of LayerSpec
     with pytest.raises(ModelSyntaxError, match=match):
         ModelGraph(name=name, input_shape=TensorShape(3, 8, 8), layers=layers)
+
+
+HEAD = "input: {channels: 3, h: 8, w: 8}\nlayers:\n  - {name: data, kind: input}\n"
+CONV_PARAMS = {"stride_h": 1, "stride_w": 1, "pad_h": 0, "pad_w": 0, "groups": 1}  # the defaults parse_model fills in
+RANGE = "expected one of input, conv, fc, pool, relu, batchnorm, add, concat"
+
+
+def conv(**params):
+    return LayerSpec("conv1", "conv", ("data",), {**CONV_PARAMS, **params})
+
+
+# Graphs with two or more faults each: (document, the same layers built by hand, error, the whole first message).
+# The message is the one the graph reports first; a check that runs out of turn reports another one.
+FIRST_FAULTS = [
+    pytest.param(
+        HEAD + "  - {name: conv1, kind: conv, inputs: [data], out_channels: 4, kernel_h: 0}\n",
+        (DATA, conv(out_channels=4, kernel_h=0)),
+        ModelSyntaxError, "layer 'conv1': kernel_h must be an integer >= 1, got 0", id="bad-value-before-later-missing-key",
+    ),
+    pytest.param(
+        # with its defaults filled in, the params hold as many keys as conv's schema, one of them unknown
+        HEAD + "  - {name: conv1, kind: conv, inputs: [data], dilation: 2, kernel_h: 3, kernel_w: 3}\n",
+        (DATA, conv(dilation=2, kernel_h=3, kernel_w=3)),
+        ModelSyntaxError, "layer 'conv1': unknown fields for kind conv: ['dilation']", id="unknown-before-missing",
+    ),
+    pytest.param(
+        HEAD + "  - {name: conv1, kind: conv, inputs: [data], out_channels: 4, kernel_h: 3, kernel_w: 3, pad_h: -1, stride_h: true}\n",
+        (DATA, conv(out_channels=4, kernel_h=3, kernel_w=3, pad_h=-1, stride_h=True)),
+        ModelSyntaxError, "layer 'conv1': stride_h must be an integer >= 1, got True", id="bool-in-schema-order",
+    ),
+    pytest.param(
+        HEAD + "  - {name: conv1, kind: conv, inputs: [data], out_channels: 4, kernel_h: 3, kernel_w: 3, pad_h: -1, stride_h: 2.0}\n",
+        (DATA, conv(out_channels=4, kernel_h=3, kernel_w=3, pad_h=-1, stride_h=2.0)),
+        ModelSyntaxError, "layer 'conv1': stride_h must be an integer >= 1, got 2.0", id="float-in-schema-order",
+    ),
+    pytest.param(
+        HEAD + f"  - {{name: conv1, kind: conv, inputs: [data], in_place: true, out_channels: 4, kernel_h: 3, kernel_w: 3, stride_h: {10**400}}}\n",
+        (DATA, replace(conv(out_channels=4, kernel_h=3, kernel_w=3, stride_h=10**400), in_place=True)),
+        ModelSyntaxError, "layer 'conv1': stride_h must be within float range, got 100000000000000000...0000000000000000000",
+        id="beyond-float-range-before-in-place",
+    ),
+    pytest.param(
+        HEAD + "  - {name: conv1, kind: conv, inputs: [data], in_place: true, out_channels: 4, kernel_h: 3, kernel_w: 3, groups: 0}\n",
+        (DATA, replace(conv(out_channels=4, kernel_h=3, kernel_w=3, groups=0), in_place=True)),
+        ModelSyntaxError, "layer 'conv1': groups must be an integer >= 1, got 0", id="bad-value-before-in-place",
+    ),
+    pytest.param(
+        HEAD + "  - {name: conv1, kind: [conv], inputs: [data], out_channels: 4}\n  - {name: relu1, kind: relu, inputs: [ghost]}\n",
+        (DATA, LayerSpec("conv1", ["conv"], ("data",), {"out_channels": 4}), LayerSpec("relu1", "relu", ("ghost",))),
+        UnknownKindError, f"layer 'conv1': unknown kind ['conv'] ({RANGE})", id="unhashable-kind-before-dangling",
+    ),
+    pytest.param(
+        HEAD + "  - {name: a, kind: relu, inputs: [b]}\n  - {name: b, kind: relu, inputs: [a]}\n  - {name: c, kind: relu, inputs: [ghost]}\n",
+        (DATA, LayerSpec("a", "relu", ("b",)), LayerSpec("b", "relu", ("a",)), LayerSpec("c", "relu", ("ghost",))),
+        DanglingInputError, "layer 'c': input 'ghost' does not exist", id="dangling-after-cycle",
+    ),
+    pytest.param(
+        HEAD + "  - {name: c, kind: relu, inputs: [ghost]}\n  - {name: a, kind: relu, inputs: [b]}\n  - {name: b, kind: relu, inputs: [a]}\n",
+        (DATA, LayerSpec("c", "relu", ("ghost",)), LayerSpec("a", "relu", ("b",)), LayerSpec("b", "relu", ("a",))),
+        DanglingInputError, "layer 'c': input 'ghost' does not exist", id="dangling-before-cycle",
+    ),
+]
+
+
+class TestFaultPrecedence:
+    """Which fault a graph with several reports first, parsed or built by hand: the class and the whole message."""
+
+    @staticmethod
+    def first_fault(build):
+        with pytest.raises(ModelError) as caught:
+            build()
+        return type(caught.value), str(caught.value)
+
+    @pytest.mark.parametrize("text, layers, error, message", FIRST_FAULTS)
+    def test_first_fault_both_ways(self, text, layers, error, message):
+        assert self.first_fault(lambda: parse_model(text)) == (error, message)
+        assert self.first_fault(lambda: ModelGraph("hand", TensorShape(3, 8, 8), layers)) == (error, message)
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            ((DATA, LayerSpec("c", "conv", ("data",), None, in_place=True)), "layer 'c': params must be a mapping, got NoneType"),
+            ((DATA, LayerSpec("c", "relu", ("data",), [], in_place="x")), "layer 'c': params must be a mapping, got list"),
+            ((DATA, 3, conv(kernel_h=0)), "layers[1] must be a LayerSpec, got int"),
+            ((LayerSpec("data", "input", (), {"foo": 1}), 3), "layer 'data': unknown fields for kind input: ['foo']"),
+            ((DATA, LayerSpec(5, "bogus", ("ghost",))), "layers[1] needs a non-empty string `name`"),
+        ],
+        ids=["params-none-and-in-place", "params-a-list-and-in-place-a-str", "int-layer-first", "int-layer-second", "int-name-and-bad-kind"],
+    )
+    def test_first_fault_built_by_hand(self, layers, message):
+        # no document carries these layers as they stand
+        assert self.first_fault(lambda: ModelGraph("hand", TensorShape(3, 8, 8), layers)) == (ModelSyntaxError, message)
+
+    def test_layer_that_is_a_number_is_refused_while_parsing(self):
+        # parse_model refuses layers[1] before the graph checks layers[0]'s unknown field
+        text = "input: {channels: 3, h: 8, w: 8}\nlayers:\n  - {name: data, kind: input, foo: 1}\n  - 3\n"
+        assert self.first_fault(lambda: parse_model(text)) == (ModelSyntaxError, "layers[1] must be a mapping, got int")
+
+    def test_int_enum_parameter_is_accepted_and_kept(self):
+        class Size(enum.IntEnum):
+            THREE = 3
+
+        g = ModelGraph("hand", TensorShape(3, 8, 8), (DATA, conv(out_channels=4, kernel_h=Size.THREE, kernel_w=3)))
+        assert g.layer("conv1").params["kernel_h"] is Size.THREE
+        assert g.costs["conv1"] == LayerCost(macs=4 * 3 * 3 * 3 * 6 * 6, weights=4 * 3 * 3 * 3, activations=3 * 64 + 4 * 36)
 
 
 def test_hand_built_layers_may_be_a_generator():
@@ -567,6 +677,12 @@ layers:
 """
         assert [l.name for l in topo_order(parse_model(text))] == ["a", "b", "c", "d"]
 
+    def test_layer_feeding_itself_is_a_cycle(self):
+        # listed after its producer, as every other input is, yet it is its own producer
+        text = HEAD + "  - {name: a, kind: add, inputs: [data, a]}\n  - {name: b, kind: relu, inputs: [a]}\n"
+        layers = (DATA, LayerSpec("a", "add", ("data", "a")), LayerSpec("b", "relu", ("a",)))
+        rejected_both_ways(text, layers, CycleError, "^cycle detected involving layers: a, b$")
+
     def test_residual_graph_satisfies_predecessor_check(self):
         lines = ["  - {name: data, kind: input}"]
         prev = "data"
@@ -587,8 +703,8 @@ layers:
 
 
 @st.composite
-def random_dags(draw):
-    """Graphs of up to 50 shape-preserving layers with random valid edges, declared in any order."""
+def random_listings(draw):
+    """Up to 50 shape-preserving layers with random valid edges, listed in any order."""
     n = draw(st.integers(min_value=1, max_value=49))
     layers = [LayerSpec(name="n0", kind="input")]
     for i in range(1, n + 1):
@@ -599,8 +715,12 @@ def random_dags(draw):
         else:
             kind = draw(st.sampled_from(["relu", "batchnorm"]))
             layers.append(LayerSpec(name=f"n{i}", kind=kind, inputs=inputs, in_place=draw(st.booleans())))
-    declared = draw(st.permutations(layers))
-    return ModelGraph(name="random", input_shape=TensorShape(1, 4, 4), layers=tuple(declared))
+    return tuple(draw(st.permutations(layers)))
+
+
+def random_dags():
+    """Graphs built from random_listings."""
+    return random_listings().map(lambda layers: ModelGraph(name="random", input_shape=TensorShape(1, 4, 4), layers=layers))
 
 
 @given(random_dags())
@@ -612,6 +732,14 @@ def test_topo_order_respects_every_edge(graph):
     for spec in graph.layers:
         for ref in spec.inputs:
             assert index[ref] < index[spec.name]
+
+
+@given(random_listings())
+def test_topo_order_breaks_ties_as_the_longhand_scheduler(layers):
+    # as drawn, and as a built graph lists them: producers first, which must come back unchanged
+    assert topo_order(SimpleNamespace(layers=layers)) == longhand_topo_order(layers)
+    graph = ModelGraph(name="random", input_shape=TensorShape(1, 4, 4), layers=layers)
+    assert topo_order(graph) == longhand_topo_order(graph.layers) == list(graph.layers)
 
 
 @given(random_dags())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dnnreuse.errors import InputError
+from dnnreuse.errors import DegenerateDataError, InputError
 from dnnreuse.measure import MeasurementRecord, energy_efficiency, load_measurements
 from tests.oracles import longhand_measurements
 
@@ -152,6 +152,13 @@ class TestEnergyEfficiency:
         # both cells pass the loader, yet p_avg_w * i_t_ms / 1000 rounds to 0 J
         r = load_measurements(f"{HEADER}m,d,1,{p_avg_w!r},{i_t_ms!r},8,8,1e9\n")[0]
         with pytest.raises(InputError, match=r"^record 'm': p_avg_w \* i_t_ms \(.*\) underflows to 0 J; efficiency undefined$"):
+            energy_efficiency(r)
+
+    @pytest.mark.parametrize("p_avg_w, i_t_ms, macs", [(1e-300, 1e-10, 1e9), (1e-200, 1e-100, 1e9), (1.0, 1.0, 1e308)])
+    def test_efficiency_overflowing_to_inf_is_degenerate(self, p_avg_w, i_t_ms, macs):
+        # the cells and the energy are valid, yet batch * macs / energy exceeds float range
+        r = MeasurementRecord("m", "d", 2, p_avg_w, i_t_ms, 8, 8, macs=macs)
+        with pytest.raises(DegenerateDataError, match=r"^record 'm': batch \* macs / energy \(2 \* .* J\) overflows to inf; efficiency undefined$"):
             energy_efficiency(r)
 
     @settings(max_examples=200, deadline=None)
