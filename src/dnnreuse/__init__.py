@@ -30,7 +30,6 @@ from .measure import (
 )
 from .metrics import (
     CaseTag,
-    ai_from_reuse,
     classify_case,
     disparity,
     reuse_bound_holds,

@@ -29,8 +29,8 @@ from .graph import parse_model
 from .measure import energy_efficiency, load_measurements
 from .metrics import DEFAULT_ALPHA, TAU_HIGH, TAU_LOW, classify_case, disparity, weighted_intensity
 from .netprofile import aggregate, batch_scale, layerwise_ai_stats, load_profiles
-from .roofline import load_hardware_spec, roofline_points
-from .stats import alpha_sweep, fisher_ci, pearson, spearman
+from .roofline import DEFAULT_BYTES_PER_ELEMENT, DEFAULT_FLOPS_PER_MAC, MODES, load_hardware_spec, roofline_points
+from .stats import DEFAULT_EPSILON, DEFAULT_STEP, Z_CRITICAL, alpha_sweep, fisher_ci, pearson, spearman
 
 # CSV cell formats; each command names one per column in its column map
 RATIO = "{:.4f}".format
@@ -73,6 +73,14 @@ def _parse_file(path: str, parse):
         return parse(text)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _named(label: str, metric, *args):
+    """metric(*args); a degeneracy it raises names `label`, the network it is about."""
+    try:
+        return metric(*args)
+    except DegenerateDataError as exc:
+        raise DegenerateDataError(f"{label}: {exc}") from None
 
 
 def _load_graph(path: str):
@@ -124,7 +132,9 @@ def analyze(models, batch, alpha, tau_low, tau_high, fmt):
     for path in models:
         graph = _load_graph(path)
         p = batch_scale(aggregate(graph), batch)
-        di, d_f, case = weighted_intensity(p, alpha), disparity(p, alpha), classify_case(p, tau_low, tau_high)
+        di = _named(graph.name, weighted_intensity, p, alpha)
+        d_f = _named(graph.name, disparity, p, alpha)
+        case = _named(graph.name, classify_case, p, tau_low, tau_high)
         record = {"model": graph.name, "batch": p.batch, "macs": p.macs, "weights": p.weights}
         record.update(activations=p.activations, peak_concurrent=p.peak_concurrent)
         record.update(ai_c=p.ai_c, weight_reuse=p.weight_reuse, activation_reuse=p.activation_reuse)
@@ -182,8 +192,8 @@ def _measurements_by_model(path: str, device, batch, macs: dict) -> dict:
 @click.option("--measurements", "measurements_path", required=True, type=click.Path())
 @click.option("--device", default=None, help="Keep only this device's rows.")
 @click.option("--batch", default=1, show_default=True, type=click.IntRange(min=1), help="Keep only this batch size's rows.")
-@click.option("--step", default=0.05, show_default=True, type=float, help="Alpha grid step.")
-@click.option("--epsilon", default=0.005, show_default=True, type=float, help="Plateau threshold on consecutive r_p gain.")
+@click.option("--step", default=DEFAULT_STEP, show_default=True, type=float, help="Alpha grid step.")
+@click.option("--epsilon", default=DEFAULT_EPSILON, show_default=True, type=float, help="Plateau threshold on consecutive r_p gain.")
 @_format_option
 @_guarded
 def calibrate(profiles_path, measurements_path, device, batch, step, epsilon, fmt):
@@ -199,7 +209,12 @@ def calibrate(profiles_path, measurements_path, device, batch, step, epsilon, fm
         raise InputError("model keys do not join; " + "; ".join(parts))
     order = sorted(profiles)
     efficiencies = [energy_efficiency(rec, macs) for rec, macs in map(by_model.get, order)]
-    curve = alpha_sweep([profiles[m][0] for m in order], efficiencies, step=step, epsilon=epsilon)
+    try:
+        curve = alpha_sweep([profiles[m][0] for m in order], efficiencies, step=step, epsilon=epsilon)
+    except DegenerateDataError:  # the sweep stops at the first network whose DI is undefined, if any
+        for m in order:
+            _named(m, weighted_intensity, profiles[m][0])
+        raise
     points = [{"alpha": p.alpha, "r_p": p.r_p, "r_s": p.r_s} for p in curve.points]
     doc = {"points": points, "selected_alpha": curve.selected_alpha, "epsilon": epsilon, "n": len(order)}
     trailer = {"alpha": "selected_alpha", "r_p": curve.selected_alpha}
@@ -212,9 +227,9 @@ def calibrate(profiles_path, measurements_path, device, batch, step, epsilon, fm
 @click.option("--profiles", "profiles_path", default=None, type=click.Path(), help="Place rows of this profiles CSV too.")
 @click.option("--metric", default="ai", show_default=True, type=click.Choice(["ai", "di"]), help="Intensity metric on the x axis.")
 @click.option("--alpha", default=DEFAULT_ALPHA, show_default=True, type=float)
-@click.option("--mode", default="raw", show_default=True, type=click.Choice(["raw", "converted"]))
-@click.option("--bytes-per-element", default=4.0, show_default=True, type=float)
-@click.option("--flops-per-mac", default=2.0, show_default=True, type=float)
+@click.option("--mode", default="raw", show_default=True, type=click.Choice(MODES))
+@click.option("--bytes-per-element", default=DEFAULT_BYTES_PER_ELEMENT, show_default=True, type=float)
+@click.option("--flops-per-mac", default=DEFAULT_FLOPS_PER_MAC, show_default=True, type=float)
 @click.option("--measurements", "measurements_path", default=None, type=click.Path(), help="Attach measured throughput from this CSV.")
 @click.option("--device", default=None, help="Device filter for --measurements.")
 @click.option("--batch", default=1, show_default=True, type=click.IntRange(min=1), help="Batch filter for --measurements.")
@@ -233,7 +248,7 @@ def roofline(models, hw_path, profiles_path, metric, alpha, mode, bytes_per_elem
     if profiles_path is not None:
         profiles = _parse_file(profiles_path, load_profiles)
         entries += [(model, profile, macs) for model, (profile, macs) in profiles.items()]
-    labelled = [(label, p.ai_c if metric == "ai" else weighted_intensity(p, alpha)) for label, p, _ in entries]
+    labelled = [(label, p.ai_c if metric == "ai" else _named(label, weighted_intensity, p, alpha)) for label, p, _ in entries]
     measured = {}
     if measurements_path is not None:
         ops_per_mac = flops_per_mac if mode == "converted" else 1.0
@@ -294,7 +309,7 @@ def stats(table, x_col, y_col, fmt):
     correlations = {"r_p": pearson(xs, ys), "r_s": spearman(xs, ys)}
     intervals = {}
     for label, r in correlations.items():
-        for level in (0.95, 0.99):
+        for level in Z_CRITICAL:
             # the Fisher transform diverges at |r| = 1; treat float-rounded
             # perfect correlation the same way instead of printing (1, 1)
             ci = fisher_ci(r, n, level) if abs(r) < 1.0 - 1e-12 and n >= 4 else None

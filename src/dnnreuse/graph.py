@@ -21,12 +21,9 @@ padded input, groups that do not divide both channel counts, add and
 concat operands that disagree) and hands each checked shape to
 layercost.layer_cost.
 
-dnnreuse.document loads the text: a document starting with `{` is read
-by json.loads, falling back to YAML if it is not JSON, and YAML is read
-by libyaml when PyYAML has it. The one number form the two read
-differently is an unquoted exponent without a dot: `1e3` is 1000.0 in
-JSON and the string '1e3' in YAML. Every integer field refuses both, so
-the form matters only as a name, which must be a string in JSON.
+dnnreuse.document loads the text; its docstring covers JSON, YAML and
+`1e3`, the one number form they read differently. Every integer field
+refuses both readings, so the form matters only as a name.
 """
 
 from __future__ import annotations

@@ -37,16 +37,6 @@ class LayerCost:
     weights: int
     activations: int
 
-    def weight_reuse(self) -> float:
-        if self.weights <= 0:
-            raise InputError("weight reuse undefined for a layer without weights")
-        return self.macs / self.weights
-
-    def activation_reuse(self) -> float:
-        if self.activations <= 0:
-            raise InputError("activation reuse undefined for a layer without activations")
-        return self.macs / self.activations
-
 
 def layer_cost(spec: LayerSpec, in_shapes, out_shape: TensorShape) -> LayerCost:
     """Cost of one layer from the shapes of its inputs and its output.

@@ -103,16 +103,20 @@ def energy_efficiency(record: MeasurementRecord, macs: float | None = None) -> f
         macs = record.macs
     if macs is None:
         raise InputError(f"record {record.model!r} has no MAC count; efficiency undefined")
-    joules = record.p_avg_w * record.i_t_ms / 1000.0
+    batch, p_avg_w, i_t_ms = record.batch, record.p_avg_w, record.i_t_ms
+    # a given count, or a record built by hand, has not been through load_measurements' checks; NaN fails each test
+    if not (0 < batch <= _FLOAT_MAX and 0 < p_avg_w <= _FLOAT_MAX and 0 < i_t_ms <= _FLOAT_MAX and 0 <= macs <= _FLOAT_MAX):
+        raise InputError(f"record {record.model!r}: batch, p_avg_w, i_t_ms and macs must be finite and positive (macs may be 0), got {(batch, p_avg_w, i_t_ms, macs)}")
+    joules = p_avg_w * i_t_ms / 1000.0
     if joules == 0.0:  # both factors are positive, but their product can round to zero
         raise InputError(
-            f"record {record.model!r}: p_avg_w * i_t_ms ({record.p_avg_w!r} * {record.i_t_ms!r}) underflows to 0 J; "
+            f"record {record.model!r}: p_avg_w * i_t_ms ({p_avg_w!r} * {i_t_ms!r}) underflows to 0 J; "
             "efficiency undefined"
         )
-    efficiency = record.batch * macs / joules
+    efficiency = batch * macs / joules
     if efficiency > _FLOAT_MAX:  # a positive energy can be small enough to overflow the quotient
         raise DegenerateDataError(
-            f"record {record.model!r}: batch * macs / energy ({record.batch} * {macs!r} / {joules!r} J) overflows to inf; "
+            f"record {record.model!r}: batch * macs / energy ({batch} * {macs!r} / {joules!r} J) overflows to inf; "
             "efficiency undefined"
         )
     return efficiency

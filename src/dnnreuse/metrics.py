@@ -48,13 +48,6 @@ def weighted_intensity(profile: NetworkProfile, alpha: float = DEFAULT_ALPHA) ->
     return intensity_at(alpha)(profile.activation_reuse, profile.weight_reuse)
 
 
-def ai_from_reuse(weight_reuse: float, activation_reuse: float) -> float:
-    """Recover AI_c from the two reuse ratios; the MAC scale cancels."""
-    if weight_reuse <= 0 or activation_reuse <= 0:
-        raise InputError("reuse ratios must be positive")
-    return weight_reuse * activation_reuse / (weight_reuse + activation_reuse)
-
-
 def disparity(profile: NetworkProfile, alpha: float = DEFAULT_ALPHA) -> float:
     """Relative disparity d_f between AI_c and DI, in percent."""
     ai_c = profile.ai_c
@@ -75,8 +68,8 @@ def classify_case(profile: NetworkProfile, tau_low: float = TAU_LOW, tau_high: f
     return CaseTag.BALANCED
 
 
-def reuse_bound_holds(profile: NetworkProfile, tolerance: float = 1e-9) -> tuple[bool, float]:
-    """AI_c never exceeds (M_c/A + M_c/W)/4; returns (holds, slack), `tolerance` relative to the bound."""
+def reuse_bound_holds(profile: NetworkProfile) -> tuple[bool, float]:
+    """AI_c never exceeds (M_c/A + M_c/W)/4; returns (holds, slack), with slack allowed 1e-9 of the bound for rounding."""
     bound = (profile.activation_reuse + profile.weight_reuse) / 4
     slack = bound - profile.ai_c
-    return slack >= -tolerance * bound, slack
+    return slack >= -1e-9 * bound, slack

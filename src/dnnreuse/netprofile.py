@@ -198,6 +198,8 @@ def peak_concurrent_activations(graph: ModelGraph) -> int:
 
 def batch_scale(profile: NetworkProfile, b: int) -> NetworkProfile:
     """Scale a batch-1 profile to batch b: work and activations grow, weights do not."""
+    if isinstance(b, bool) or not isinstance(b, int):
+        raise InputError(f"batch size must be an integer, got {b!r}")
     if b < 1:
         raise InputError(f"batch size must be >= 1, got {b}")
     if profile.batch != 1:

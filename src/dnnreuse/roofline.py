@@ -20,6 +20,9 @@ from .errors import InputError, finite, sorted_keys
 HARDWARE_KEYS = ("name", "peak_flops", "peak_bandwidth_bytes_per_s")
 
 MODES = ("raw", "converted")
+DEFAULT_BYTES_PER_ELEMENT = 4.0
+DEFAULT_FLOPS_PER_MAC = 2.0
+ENVELOPE_POINTS = 64  # samples on each of the envelope's two segments
 
 # an exponent number that float() reads; YAML 1.1 reads it as a number only with a dot and a signed exponent
 _EXPONENT_NUMBER = re.compile(r"([-+]?\d+)(\.\d*)?[eE]([-+]?)(\d+)")
@@ -37,7 +40,7 @@ class HardwareSpec:
     peak_bandwidth: float
 
     def __post_init__(self):
-        if self.peak_throughput <= 0 or self.peak_bandwidth <= 0:
+        if finite(self.peak_throughput, "peak_throughput") <= 0 or finite(self.peak_bandwidth, "peak_bandwidth") <= 0:
             raise InputError("hardware peaks must be positive")
 
     @property
@@ -77,7 +80,7 @@ def load_hardware_spec(text: str) -> HardwareSpec:
     if not isinstance(name, str) or not name:
         raise InputError("hardware name must be a non-empty string")
     values = {}
-    for key in ("peak_flops", "peak_bandwidth_bytes_per_s"):
+    for key in HARDWARE_KEYS[1:]:
         try:
             raw = finite(doc[key], key)
         except InputError as exc:
@@ -123,8 +126,8 @@ def classify(
     hw: HardwareSpec,
     intensity: float,
     mode: str = "raw",
-    bytes_per_element: float = 4.0,
-    flops_per_mac: float = 2.0,
+    bytes_per_element: float = DEFAULT_BYTES_PER_ELEMENT,
+    flops_per_mac: float = DEFAULT_FLOPS_PER_MAC,
 ) -> Bound:
     """Compute bound at or above the ridge intensity, memory bound below."""
     return _place(hw, _conversion(mode, bytes_per_element, flops_per_mac), intensity)[1]
@@ -142,9 +145,8 @@ def roofline_points(
     points,
     measured=None,
     mode: str = "raw",
-    bytes_per_element: float = 4.0,
-    flops_per_mac: float = 2.0,
-    envelope_points: int = 64,
+    bytes_per_element: float = DEFAULT_BYTES_PER_ELEMENT,
+    flops_per_mac: float = DEFAULT_FLOPS_PER_MAC,
 ) -> RooflineChart:
     """Place labelled intensities on the roofline and sample its envelope.
 
@@ -153,8 +155,6 @@ def roofline_points(
     carried through to the chart once checked finite.
     """
     factor = _conversion(mode, bytes_per_element, flops_per_mac)
-    if envelope_points < 2:
-        raise InputError("envelope needs at least 2 samples per segment")
     measured = dict(measured or {})
     placed, labels = [], set()
     for label, intensity in points:
@@ -174,8 +174,8 @@ def roofline_points(
     hi = max(max(p.intensity for p in placed), knee) * 10.0
     if not 0 < lo < hi < math.inf:
         raise InputError(f"roofline intensity axis leaves float range: {lo} to {hi}")
-    slope = _geomspace(lo, knee, envelope_points)
-    roof = _geomspace(knee, hi, envelope_points)
+    slope = _geomspace(lo, knee, ENVELOPE_POINTS)
+    roof = _geomspace(knee, hi, ENVELOPE_POINTS)
     envelope = [(x, _place(hw, factor, x)[0]) for x in slope]
     envelope += [(x, hw.peak_throughput) for x in roof]
     return RooflineChart(points=tuple(placed), envelope=tuple(envelope))

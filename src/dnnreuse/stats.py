@@ -16,6 +16,8 @@ from .errors import DegenerateDataError, InputError, finite
 from .metrics import intensity_at
 
 Z_CRITICAL = {0.95: 1.96, 0.99: 2.58}
+DEFAULT_STEP = 0.05
+DEFAULT_EPSILON = 0.005
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def spearman(xs, ys) -> float:
     return pearson(_average_ranks(xs), _average_ranks(ys))
 
 
-def alpha_grid(step: float = 0.05) -> list[float]:
+def alpha_grid(step: float = DEFAULT_STEP) -> list[float]:
     """[0, step, 2*step, ...] capped and terminated at exactly 1.0."""
     if not 0 < step <= 1:
         raise InputError(f"step must lie in (0, 1], got {step}")
@@ -148,7 +150,7 @@ def _check_epsilon(epsilon: float):
         raise InputError(f"epsilon must be >= 0, got {epsilon}")
 
 
-def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.005) -> CalibrationCurve:
+def alpha_sweep(profiles, efficiencies, step: float = DEFAULT_STEP, epsilon: float = DEFAULT_EPSILON) -> CalibrationCurve:
     """Correlate DI(alpha) against efficiency over the grid; pick the plateau.
 
     Each r_p is `pearson(DI(alpha), efficiencies)` and each r_s is
@@ -193,7 +195,7 @@ def alpha_sweep(profiles, efficiencies, step: float = 0.05, epsilon: float = 0.0
     return replace(curve, selected_alpha=select_alpha(curve, epsilon))
 
 
-def select_alpha(curve: CalibrationCurve, epsilon: float = 0.005) -> float:
+def select_alpha(curve: CalibrationCurve, epsilon: float = DEFAULT_EPSILON) -> float:
     """Smallest grid alpha where the next step gains less than epsilon.
 
     A curve that keeps improving by epsilon or more all the way to the
@@ -216,14 +218,10 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> ConfidenceInterval:
     Z = atanh(r), standard error 1/sqrt(n - 3), fixed z-critical, then
     tanh back to correlation space.
     """
-    if level not in Z_CRITICAL:
-        raise InputError(f"level must be one of {sorted(Z_CRITICAL)}, got {level}")
-    if n < 4:
-        raise InputError(f"need n >= 4 for a finite standard error, got {n}")
+    margin = fisher_z_width(n, level) / 2  # halving is exact, so this is z / sqrt(n - 3) to the bit
     if not -1.0 < r < 1.0:
         raise InputError(f"Fisher transform diverges at |r| = 1, got {r}")
     z = math.atanh(r)
-    margin = Z_CRITICAL[level] / math.sqrt(n - 3)
     return ConfidenceInterval(
         r=r,
         n=n,
@@ -234,21 +232,22 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> ConfidenceInterval:
 
 
 def fisher_z_width(n: int, level: float = 0.95) -> float:
-    """Width of the interval in Z space, independent of r."""
+    """Width of the interval in Z space, independent of r; the one check of `level` and `n` for the Fisher functions."""
     if level not in Z_CRITICAL:
         raise InputError(f"level must be one of {sorted(Z_CRITICAL)}, got {level}")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"n must be an integer, got {n!r}")
     if n < 4:
-        raise InputError(f"need n >= 4, got {n}")
+        raise InputError(f"need n >= 4 for a finite standard error, got {n}")
     return 2 * Z_CRITICAL[level] / math.sqrt(n - 3)
 
 
 def min_sample_size(level: float = 0.95, max_z_width: float = 1.0) -> int:
     """Smallest sample count whose Z-space interval width fits the budget."""
-    if level not in Z_CRITICAL:
-        raise InputError(f"level must be one of {sorted(Z_CRITICAL)}, got {level}")
-    if max_z_width <= 0:
+    widest = fisher_z_width(4, level)  # 2z exactly, since sqrt(1) is 1
+    if finite(max_z_width, "max_z_width") <= 0:
         raise InputError("width budget must be positive")
-    n = max(4, math.ceil((2 * Z_CRITICAL[level] / max_z_width) ** 2 + 3))
+    n = max(4, math.ceil((widest / max_z_width) ** 2 + 3))
     while n > 4 and fisher_z_width(n - 1, level) <= max_z_width:
         n -= 1
     while fisher_z_width(n, level) > max_z_width:

@@ -243,3 +243,21 @@ def longhand_measurements(rows):
         keys.append(key)
         records.append((model, device, *values))
     return records, None
+
+
+# Fisher's z-critical values, written out here rather than read from the library
+FISHER_Z_CRITICAL = {0.95: 1.96, 0.99: 2.58}
+
+
+def longhand_fisher_ci(r, n, level):
+    """(lower, upper) of the Fisher interval, tanh(atanh(r) -+ z/sqrt(n - 3)), in one expression each."""
+    z = FISHER_Z_CRITICAL[level]
+    return math.tanh(math.atanh(r) - z / math.sqrt(n - 3)), math.tanh(math.atanh(r) + z / math.sqrt(n - 3))
+
+
+def longhand_min_sample_size(level, max_z_width):
+    """Smallest n >= 4 whose Z-space width 2z/sqrt(n - 3) fits the budget, found by counting up from 4."""
+    n = 4
+    while 2 * FISHER_Z_CRITICAL[level] / math.sqrt(n - 3) > max_z_width:
+        n += 1
+    return n

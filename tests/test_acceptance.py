@@ -16,7 +16,7 @@ import pytest
 from dnnreuse.graph import LayerSpec, TensorShape, parse_model
 from dnnreuse.layercost import layer_cost
 from dnnreuse.measure import load_measurements
-from dnnreuse.metrics import ai_from_reuse, disparity, reuse_bound_holds, weighted_intensity
+from dnnreuse.metrics import disparity, reuse_bound_holds, weighted_intensity
 from dnnreuse.netprofile import NetworkProfile, aggregate, layerwise_ai_stats
 from dnnreuse.roofline import Bound, classify, load_hardware_spec
 from dnnreuse.stats import alpha_sweep, fisher_ci, fisher_z_width, min_sample_size, pearson, spearman
@@ -60,7 +60,7 @@ def test_01_reference_metrics_recompute_from_reuse_pairs(reference_rows, referen
     assert len(reference_rows) == 25
     for model, row in reference_rows.items():
         profile = reference_profiles[model]
-        assert close(ai_from_reuse(row["mc_over_w"], row["mc_over_a"]), row["ai_c"]), model
+        assert close(profile.ai_c, row["ai_c"]), model
         assert close(weighted_intensity(profile, 0.8), row["di"]), model
         assert close(disparity(profile, 0.8), row["d_f"]), model
         assert close(profile.a_over_w, row["a_over_w"]), model
@@ -69,7 +69,7 @@ def test_01_reference_metrics_recompute_from_reuse_pairs(reference_rows, referen
     assert close(disparity(reference_profiles["alexnet"], 0.8), -535.16)
     assert close(weighted_intensity(reference_profiles["vgg-16"], 0.8), 113.02)
     assert close(disparity(reference_profiles["nin"], 0.8), 32.60)
-    assert close(ai_from_reuse(124.80, 12.36), 11.24)
+    assert close(NetworkProfile.from_reuse(124.80, 12.36).ai_c, 11.24)
 
 
 def test_02_convolution_family_relative_costs():

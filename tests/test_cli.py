@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import pathlib
 
@@ -47,6 +48,18 @@ layers:
   - {name: data, kind: input}
   - {name: p, kind: pool, inputs: [data], kernel_h: 2, kernel_w: 2, stride_h: 2, stride_w: 2}
 """
+
+
+def profiles_without_weights_for(tmp_path, fixture_dir, model) -> str:
+    """Path of a count-form profiles CSV of the bundled reference networks, in which `model` has no weights."""
+    lines = ["model,macs,weights,activations"]
+    for row in csv.DictReader((fixture_dir / "reference_metrics.csv").read_text().splitlines()):
+        macs = float(row["macs"])
+        weights = 0.0 if row["model"] == model else macs / float(row["mc_over_w"])
+        lines.append(f"{row['model']},{macs!r},{weights!r},{macs / float(row['mc_over_a'])!r}")
+    path = tmp_path / "profiles.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 @pytest.fixture()
@@ -113,6 +126,14 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", str(path)])
         assert result.exit_code == 2
         assert "utf-8" in result.stderr
+
+    def test_network_without_weights_is_named(self, runner, tmp_path, model_dir):
+        nw = tmp_path / "nw.yaml"
+        nw.write_text(POOL_ONLY)
+        result = runner.invoke(main, ["analyze", str(model_dir / "alexnet.yaml"), str(nw)])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: nw: weight reuse undefined: no weights\n"
 
     def test_deterministic_output(self, runner, model_dir):
         args = ["analyze", str(model_dir / "vgg-16.yaml"), str(model_dir / "nin.yaml")]
@@ -273,6 +294,15 @@ class TestCalibrate:
         assert result.stdout == ""
         assert result.stderr.startswith(message)
 
+    def test_profile_without_weights_is_named(self, runner, tmp_path, fixture_dir):
+        result = runner.invoke(main, [
+            "calibrate", "--profiles", profiles_without_weights_for(tmp_path, fixture_dir, "nin"),
+            "--measurements", str(fixture_dir / "measurements.csv"), "--device", "P100",
+        ])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: nin: weight reuse undefined: no weights\n"
+
     def test_json_selected_alpha(self, runner, fixture_dir):
         out = run_ok(
             runner,
@@ -400,6 +430,16 @@ class TestRoofline:
         result = runner.invoke(main, ["roofline", "--hw", str(hardware_dir / "p100.yaml"), nin, nin])
         assert result.exit_code == 2
         assert "'nin' is placed twice" in result.stderr
+
+
+    def test_di_of_a_profile_without_weights_is_named(self, runner, tmp_path, hardware_dir, fixture_dir):
+        profiles = profiles_without_weights_for(tmp_path, fixture_dir, "nin")
+        args = ["roofline", "--hw", str(hardware_dir / "p100.yaml"), "--profiles", profiles]
+        run_ok(runner, args)  # AI_c needs no weight reuse
+        result = runner.invoke(main, args + ["--metric", "di"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: nin: weight reuse undefined: no weights\n"
 
 
 class TestStats:

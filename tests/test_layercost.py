@@ -51,7 +51,7 @@ class TestConvCost:
     def test_tiny_depthwise_case(self):
         got = square_conv_cost(m=3, n=3, s_k=3, s_o=2, g=3)
         assert (got.macs, got.weights, got.activations) == (108, 27, 24)
-        assert got.activation_reuse() == 4.5  # s_k^2 / 2
+        assert got.macs / got.activations == 4.5  # s_k^2 / 2
         assert (got.macs, got.weights, got.activations) == brute_force_conv(3, 3, 3, 3, 2, 2, 2, 2, 3)
 
     def test_family_reference_point(self):
@@ -68,12 +68,12 @@ class TestConvCost:
             # same feature-map dims, so the activation totals match and
             # the activation-reuse ratio equals the MAC ratio
             assert cost.activations == standard.activations
-            assert cost.activation_reuse() / standard.activation_reuse() == pytest.approx(mac_ratio, abs=0.01)
+            assert (cost.macs / cost.activations) / (standard.macs / standard.activations) == pytest.approx(mac_ratio, abs=0.01)
 
     def test_weight_reuse_is_output_area_for_every_family(self):
         for g in (1, 4, 256):
             cost = square_conv_cost(256, 256, 3, 28, g=g)
-            assert cost.weight_reuse() == 28 * 28
+            assert cost.macs / cost.weights == 28 * 28
 
     def test_rectangular_kernel_and_fmap(self):
         spec = make_conv(out_channels=5, kernel=1)
@@ -81,7 +81,7 @@ class TestConvCost:
         got = layer_cost(spec, [TensorShape(4, 7, 9)], TensorShape(5, 5, 8))
         macs, weights, acts = brute_force_conv(4, 5, 3, 2, 7, 9, 5, 8, 1)
         assert (got.macs, got.weights, got.activations) == (macs, weights, acts)
-        assert got.weight_reuse() == 5 * 8
+        assert got.macs / got.weights == 5 * 8
 
 
 def random_conv_case(rng):
@@ -224,8 +224,8 @@ class TestClosedForms:
         got = closed_form_ai(family, m, n, s_k, s_o, g=g)
         counted_ai = cost.macs / (cost.weights + cost.activations)
         assert abs(got["ai"] - counted_ai) <= 1e-12 * counted_ai
-        assert got["weight_reuse"] == cost.weight_reuse()
-        assert got["activation_reuse"] == pytest.approx(cost.activation_reuse(), rel=1e-12)
+        assert got["weight_reuse"] == cost.macs / cost.weights
+        assert got["activation_reuse"] == pytest.approx(cost.macs / cost.activations, rel=1e-12)
 
     def test_family_parameter_mismatch_rejected(self):
         with pytest.raises(InputError):

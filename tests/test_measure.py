@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -160,6 +162,22 @@ class TestEnergyEfficiency:
         r = MeasurementRecord("m", "d", 2, p_avg_w, i_t_ms, 8, 8, macs=macs)
         with pytest.raises(DegenerateDataError, match=r"^record 'm': batch \* macs / energy \(2 \* .* J\) overflows to inf; efficiency undefined$"):
             energy_efficiency(r)
+
+    @pytest.mark.parametrize(
+        "record, macs",
+        [
+            (MeasurementRecord("m", "d", 2, 10.0, 100.0, 8, 8), math.nan),
+            (MeasurementRecord("m", "d", 2, 10.0, 100.0, 8, 8), -5.0),
+            (MeasurementRecord("m", "d", 2, 10.0, 100.0, 8, 8), math.inf),
+            (MeasurementRecord("m", "d", 2, math.nan, 100.0, 8, 8, macs=1e9), None),
+            (MeasurementRecord("m", "d", 2, -10.0, -100.0, 8, 8, macs=1e9), None),
+            (MeasurementRecord("m", "d", 0, 10.0, 100.0, 8, 8, macs=1e9), None),
+        ],
+    )
+    def test_count_or_record_that_skipped_the_loader_is_refused(self, record, macs):
+        # a given count, or a record built by hand, has not been through load_measurements' checks
+        with pytest.raises(InputError, match=r"^record 'm': batch, p_avg_w, i_t_ms and macs must be finite and positive \(macs may be 0\), got "):
+            energy_efficiency(record, macs)
 
     @settings(max_examples=200, deadline=None)
     @given(b=st.integers(1, 32), macs=st.floats(1e6, 1e12))

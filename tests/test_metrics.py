@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from dnnreuse.errors import DegenerateDataError, InputError
 from dnnreuse.metrics import (
     CaseTag,
-    ai_from_reuse,
     classify_case,
     disparity,
     reuse_bound_holds,
@@ -50,18 +49,26 @@ class TestWeightedIntensity:
 
 
 class TestAiFromReuse:
+    """AI_c recovered from the two reuse ratios, through the profile they rebuild; the MAC scale cancels."""
+
     def test_low_activation_footprint_pair(self):
-        assert ai_from_reuse(11.85, 361.50) == pytest.approx(11.48, abs=0.05)
+        assert profile_from_reuse(11.85, 361.50).ai_c == pytest.approx(11.48, abs=0.05)
 
     def test_inverted_pair(self):
-        assert ai_from_reuse(124.80, 12.36) == pytest.approx(11.24, abs=0.05)
+        assert profile_from_reuse(124.80, 12.36).ai_c == pytest.approx(11.24, abs=0.05)
 
     def test_equal_reuse_halves(self):
-        assert ai_from_reuse(8.0, 8.0) == pytest.approx(4.0)
+        assert profile_from_reuse(8.0, 8.0).ai_c == pytest.approx(4.0)
 
     def test_zero_rejected(self):
         with pytest.raises(InputError):
-            ai_from_reuse(0.0, 1.0)
+            profile_from_reuse(0.0, 1.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(weight_reuse=positive, activation_reuse=positive)
+    def test_equals_the_harmonic_form_exactly(self, weight_reuse, activation_reuse):
+        expected = weight_reuse * activation_reuse / (weight_reuse + activation_reuse)
+        assert profile_from_reuse(weight_reuse, activation_reuse).ai_c == expected
 
 
 class TestDisparity:
@@ -131,7 +138,7 @@ class TestReuseBound:
         p = profile_from_reuse(11.85, 361.50)
         ok, slack = reuse_bound_holds(p)
         assert ok
-        assert slack == pytest.approx((361.50 + 11.85) / 4 - ai_from_reuse(11.85, 361.50), rel=1e-9)
+        assert slack == pytest.approx((361.50 + 11.85) / 4 - 11.85 * 361.50 / (11.85 + 361.50), rel=1e-9)
         assert slack > 80
 
     def test_equality_iff_balanced(self):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from dnnreuse.errors import InputError
 from dnnreuse.roofline import (
+    ENVELOPE_POINTS,
     Bound,
     HardwareSpec,
     classify,
@@ -33,6 +34,12 @@ class TestHardwareSpec:
             HardwareSpec(name="x", peak_throughput=0, peak_bandwidth=1)
         with pytest.raises(InputError):
             HardwareSpec(name="x", peak_throughput=1, peak_bandwidth=-2)
+
+    @pytest.mark.parametrize("peaks", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_peaks_rejected(self, peaks):
+        # NaN passes a `<= 0` guard, and classify would then call every intensity memory bound
+        with pytest.raises(InputError, match="must be a finite number"):
+            HardwareSpec("x", *peaks)
 
     def test_load_from_yaml(self, hardware_dir):
         hw = load_hardware_spec((hardware_dir / "p4000.yaml").read_text())
@@ -201,32 +208,32 @@ class TestChart:
         assert by_label["vgg16"].measured is None
 
     def test_envelope_continuous_at_ridge(self):
-        chart = roofline_points(P4000, self.POINTS, envelope_points=16)
-        assert len(chart.envelope) == 32
-        slope_end = chart.envelope[15]
-        roof_start = chart.envelope[16]
+        chart = roofline_points(P4000, self.POINTS)
+        assert len(chart.envelope) == 2 * ENVELOPE_POINTS
+        slope_end = chart.envelope[ENVELOPE_POINTS - 1]
+        roof_start = chart.envelope[ENVELOPE_POINTS]
         assert slope_end[0] == pytest.approx(P4000.cmr, rel=1e-12)
         assert roof_start[0] == pytest.approx(P4000.cmr, rel=1e-12)
         assert slope_end[1] == pytest.approx(5.2e12, rel=1e-9)
         assert roof_start[1] == pytest.approx(5.2e12, rel=1e-9)
 
     def test_envelope_rises_then_flattens(self):
-        chart = roofline_points(P4000, self.POINTS, envelope_points=8)
+        chart = roofline_points(P4000, self.POINTS)
         ys = [y for _, y in chart.envelope]
-        assert all(b >= a * (1 - 1e-12) for a, b in zip(ys[:7], ys[1:8]))
-        assert all(y == pytest.approx(5.2e12) for y in ys[8:])
+        assert all(b >= a * (1 - 1e-12) for a, b in zip(ys[: ENVELOPE_POINTS - 1], ys[1:ENVELOPE_POINTS]))
+        assert all(y == pytest.approx(5.2e12) for y in ys[ENVELOPE_POINTS:])
 
     def test_envelope_spans_a_decade_past_the_points(self):
-        chart = roofline_points(P4000, self.POINTS, envelope_points=4)
+        chart = roofline_points(P4000, self.POINTS)
         xs = [x for x, _ in chart.envelope]
         assert min(xs) == pytest.approx(min(11.48, P4000.cmr) / 10)
         assert max(xs) == pytest.approx(92.55 * 10)
 
     def test_converted_mode_moves_the_ridge(self):
-        chart = roofline_points(P100, self.POINTS, mode="converted", envelope_points=4)
-        knee_x = chart.envelope[3][0]
+        chart = roofline_points(P100, self.POINTS, mode="converted")
+        knee_x = chart.envelope[ENVELOPE_POINTS - 1][0]
         assert knee_x == pytest.approx(P100.cmr * 2.0, rel=1e-12)
-        assert chart.envelope[3][1] == pytest.approx(9.3e12, rel=1e-9)
+        assert chart.envelope[ENVELOPE_POINTS - 1][1] == pytest.approx(9.3e12, rel=1e-9)
 
     def test_empty_points_rejected(self):
         with pytest.raises(InputError):

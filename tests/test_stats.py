@@ -20,7 +20,7 @@ from dnnreuse.stats import (
     select_alpha,
     spearman,
 )
-from tests.oracles import rank_formula_spearman
+from tests.oracles import longhand_fisher_ci, longhand_min_sample_size, rank_formula_spearman
 
 
 def curve_from_series(r_values, step):
@@ -289,11 +289,27 @@ class TestFisherCI:
         with pytest.raises(InputError):
             fisher_ci(0.5, 3)
 
+    @pytest.mark.parametrize("n", [4.5, 25.0, True])
+    def test_n_that_is_not_an_integer_rejected(self, n):
+        with pytest.raises(InputError, match="^n must be an integer, got "):
+            fisher_ci(0.5, n)
+
     @given(st.floats(min_value=-0.99, max_value=0.99), st.integers(min_value=4, max_value=500))
     def test_z_space_width_is_invariant_in_r(self, r, n):
         ci = fisher_ci(r, n)
         z_width = math.atanh(ci.upper) - math.atanh(ci.lower)
         assert z_width == pytest.approx(fisher_z_width(n, 0.95), rel=1e-9)
+
+    @given(
+        st.floats(min_value=-0.999, max_value=0.999),
+        st.integers(min_value=4, max_value=100_000),
+        st.sampled_from([0.95, 0.99]),
+    )
+    @example(0.85, 25, 0.95)
+    @example(-0.5, 4, 0.99)
+    def test_bounds_equal_the_longhand_interval_exactly(self, r, n, level):
+        ci = fisher_ci(r, n, level)
+        assert (ci.lower, ci.upper) == longhand_fisher_ci(r, n, level)
 
 
 class TestSampleSizePlanning:
@@ -317,6 +333,17 @@ class TestSampleSizePlanning:
         budget = fisher_z_width(25, 0.95)
         assert min_sample_size(0.95, budget) == 25
 
+    @given(st.floats(min_value=0.1, max_value=10.0), st.sampled_from([0.95, 0.99]))
+    @example(1.0, 0.95)
+    @example(1.0, 0.99)
+    @example(2 * 1.96 / math.sqrt(22), 0.95)  # the width at n = 25 exactly
+    def test_equals_the_longhand_search_exactly(self, max_z_width, level):
+        assert min_sample_size(level, max_z_width) == longhand_min_sample_size(level, max_z_width)
+
     def test_bad_budget_rejected(self):
         with pytest.raises(InputError):
             min_sample_size(0.95, 0.0)
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(InputError, match="^max_z_width must be a finite number, got nan$"):
+            min_sample_size(0.95, math.nan)
