@@ -36,13 +36,7 @@ from .stats import DEFAULT_EPSILON, DEFAULT_STEP, Z_CRITICAL, alpha_sweep, fishe
 RATIO = "{:.4f}".format
 ENERGY = "{:.3e}".format
 TEXT = str
-
-
-def COUNT(value) -> str:
-    # counts are exact integers; energies and other floats get 4 significant digits
-    if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
-        return str(int(value))
-    return ENERGY(value)
+COUNT = str  # every count printed is an exact int: layer costs are products of ints, and sums and batch multiples keep them so
 
 
 def _guarded(func):

@@ -36,6 +36,22 @@ def finite(value, what: str):
     return value
 
 
+def positive(value, what: str):
+    """Return `value` if it is `finite` and above 0; raise InputError otherwise."""
+    if finite(value, what) <= 0:
+        raise InputError(f"{what} must be positive, got {value}")
+    return value
+
+
+def integer(value, what: str, minimum: int = 1, error: type[Exception] = InputError):
+    """Return `value` if it is an int (not a bool) from `minimum` to float max; raise `error` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise error(f"{what} must be an integer >= {minimum}, got {reprlib.repr(value)}")
+    if value > _FLOAT_MAX:  # refused as finite refuses every other number beyond float range
+        raise error(f"{what} must be within float range, got {reprlib.repr(value)}")
+    return value
+
+
 def sorted_keys(keys) -> list:
     """Mapping keys in the order of their text, which orders keys of mixed types too (YAML allows `1:`)."""
     return sorted(keys, key=lambda key: (str(key), repr(key)))

@@ -36,7 +36,7 @@ import yaml
 
 from . import layercost
 from .document import load_document
-from .errors import _FLOAT_MAX, InputError, sorted_keys
+from .errors import _FLOAT_MAX, InputError, integer, sorted_keys
 
 
 class ModelError(InputError):
@@ -175,23 +175,15 @@ def _expect_mapping(value, what):
     return value
 
 
-def _positive_int(value, what, minimum=1):
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ModelSyntaxError(f"{what} must be an integer >= {minimum}, got {reprlib.repr(value)}")
-    if value > _FLOAT_MAX:  # refused as errors.finite refuses every other number beyond float range
-        raise ModelSyntaxError(f"{what} must be within float range, got {reprlib.repr(value)}")
-    return value
-
-
 def _parse_input_shape(doc) -> TensorShape:
     raw = _expect_mapping(doc.get("input"), "top-level `input`")
     extra = set(raw) - {"channels", "h", "w"}
     if extra:
         raise ModelSyntaxError(f"unknown input fields: {sorted_keys(extra)}")
     return TensorShape(
-        _positive_int(raw.get("channels"), "input.channels"),
-        _positive_int(raw.get("h"), "input.h"),
-        _positive_int(raw.get("w"), "input.w"),
+        integer(raw.get("channels"), "input.channels", error=ModelSyntaxError),
+        integer(raw.get("h"), "input.h", error=ModelSyntaxError),
+        integer(raw.get("w"), "input.w", error=ModelSyntaxError),
     )
 
 
@@ -231,7 +223,7 @@ def _check_fields(spec: LayerSpec, position: int) -> None:
     except (KeyError, TypeError):  # a kind may be any value, even unhashable
         return  # topo_order names the kind
     # Accept path: a dict as large as the schema that holds every schema key holds no other key, and an exact
-    # int within [minimum, _FLOAT_MAX] is what _positive_int accepts. Anything else takes the checks below, in order.
+    # int within [minimum, _FLOAT_MAX] is what errors.integer accepts. Anything else takes the checks below, in order.
     accepted = type(params) is dict and len(params) == len(schema)
     for key, (_, minimum) in schema.items() if accepted else ():
         value = params.get(key)
@@ -246,7 +238,7 @@ def _check_fields(spec: LayerSpec, position: int) -> None:
         for key, (_, minimum) in schema.items():
             if key not in params:
                 raise ModelSyntaxError(f"{where}kind {kind} requires `{key}`")
-            _positive_int(params[key], where + key, minimum)
+            integer(params[key], where + key, minimum, ModelSyntaxError)
     if spec.in_place is not False and kind not in IN_PLACE_KINDS:
         raise ModelSyntaxError(f"layer {name!r}: in_place only applies to relu/batchnorm")
     if not isinstance(spec.in_place, bool):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, integer
 
 if TYPE_CHECKING:  # graph imports this module to cost each layer it shapes
     from .graph import LayerSpec, TensorShape
@@ -71,8 +71,8 @@ def closed_form_ai(family: str, m: int, n: int, s_k: int, s_o: int, g: int = 1) 
     """
     if family not in CONV_FAMILIES:
         raise InputError(f"unknown convolution family {family!r}")
-    if min(m, n, s_k, s_o, g) < 1:
-        raise InputError("all closed-form parameters must be >= 1")
+    for value, what in zip((m, n, s_k, s_o, g), ("m", "n", "s_k", "s_o", "g")):
+        integer(value, what)
     if family == "standard" and g != 1:
         raise InputError("standard convolution has g = 1")
     if family == "pointwise" and (s_k != 1 or g != 1):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from .document import read_rows
-from .errors import DegenerateDataError, InputError, finite
+from .errors import DegenerateDataError, InputError, finite, integer
 from .graph import ModelGraph
 
 
@@ -198,10 +198,7 @@ def peak_concurrent_activations(graph: ModelGraph) -> int:
 
 def batch_scale(profile: NetworkProfile, b: int) -> NetworkProfile:
     """Scale a batch-1 profile to batch b: work and activations grow, weights do not."""
-    if isinstance(b, bool) or not isinstance(b, int):
-        raise InputError(f"batch size must be an integer, got {b!r}")
-    if b < 1:
-        raise InputError(f"batch size must be >= 1, got {b}")
+    integer(b, "batch size")
     if profile.batch != 1:
         raise InputError("batch_scale expects a batch-1 profile")
     if b == 1:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .document import load_document
-from .errors import InputError, finite, sorted_keys
+from .errors import InputError, finite, positive, sorted_keys
 
 HARDWARE_KEYS = ("name", "peak_flops", "peak_bandwidth_bytes_per_s")
 
@@ -40,8 +40,8 @@ class HardwareSpec:
     peak_bandwidth: float
 
     def __post_init__(self):
-        if finite(self.peak_throughput, "peak_throughput") <= 0 or finite(self.peak_bandwidth, "peak_bandwidth") <= 0:
-            raise InputError("hardware peaks must be positive")
+        positive(self.peak_throughput, "peak_throughput")
+        positive(self.peak_bandwidth, "peak_bandwidth")
 
     @property
     def cmr(self) -> float:
@@ -82,15 +82,13 @@ def load_hardware_spec(text: str) -> HardwareSpec:
     values = {}
     for key in HARDWARE_KEYS[1:]:
         try:
-            raw = finite(doc[key], key)
+            raw = positive(doc[key], key)
         except InputError as exc:
             m = isinstance(doc[key], str) and _EXPONENT_NUMBER.fullmatch(doc[key])
             hint = ""
             if m and math.isfinite(float(doc[key])):  # beyond float range, YAML 1.1 reads the suggested form as inf
                 hint = f"; YAML 1.1 reads that form as text, so write {m[1]}{m[2] or '.0'}e{m[3] or '+'}{m[4]}"
             raise InputError(f"{exc}{hint}") from None
-        if raw <= 0:
-            raise InputError(f"{key} must be positive, got {raw}")
         values[key] = float(raw)
     return HardwareSpec(
         name=name,
@@ -103,8 +101,8 @@ def _conversion(mode: str, bytes_per_element: float, flops_per_mac: float) -> fl
     """Factor taking an input-units intensity to operations per byte."""
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    if finite(bytes_per_element, "bytes_per_element") <= 0 or finite(flops_per_mac, "flops_per_mac") <= 0:
-        raise InputError("bytes_per_element and flops_per_mac must be positive")
+    positive(bytes_per_element, "bytes_per_element")
+    positive(flops_per_mac, "flops_per_mac")
     if mode == "raw":
         return 1.0
     factor = flops_per_mac / bytes_per_element
@@ -115,9 +113,7 @@ def _conversion(mode: str, bytes_per_element: float, flops_per_mac: float) -> fl
 
 def _place(hw: HardwareSpec, factor: float, intensity: float) -> tuple[float, Bound]:
     """Attainable throughput, min(peak, intensity * bandwidth), and bound of one intensity converted by `factor`."""
-    if finite(intensity, "intensity") <= 0:
-        raise InputError(f"intensity must be positive, got {intensity}")
-    ops_per_byte = intensity * factor
+    ops_per_byte = positive(intensity, "intensity") * factor
     attainable = min(hw.peak_throughput, ops_per_byte * hw.peak_bandwidth)
     return attainable, Bound.COMPUTE if ops_per_byte >= hw.cmr else Bound.MEMORY
 

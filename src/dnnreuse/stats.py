@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, replace
 from itertools import repeat
 
-from .errors import DegenerateDataError, InputError, finite
+from .errors import _FLOAT_MAX, DegenerateDataError, InputError, finite, integer, positive
 from .metrics import intensity_at
 
 Z_CRITICAL = {0.95: 1.96, 0.99: 2.58}
@@ -205,6 +205,8 @@ def select_alpha(curve: CalibrationCurve, epsilon: float = DEFAULT_EPSILON) -> f
     points = curve.points
     if not points:
         raise InputError("empty calibration curve")
+    for point in points:  # NaN fails every comparison below, so it would match no argmax
+        finite(point.r_p, f"r_p at alpha {point.alpha}")
     for here, after in zip(points, points[1:]):
         if after.r_p - here.r_p < epsilon:
             return here.alpha
@@ -235,21 +237,22 @@ def fisher_z_width(n: int, level: float = 0.95) -> float:
     """Width of the interval in Z space, independent of r; the one check of `level` and `n` for the Fisher functions."""
     if level not in Z_CRITICAL:
         raise InputError(f"level must be one of {sorted(Z_CRITICAL)}, got {level}")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f"n must be an integer, got {n!r}")
-    if n < 4:
-        raise InputError(f"need n >= 4 for a finite standard error, got {n}")
-    return 2 * Z_CRITICAL[level] / math.sqrt(n - 3)
+    return 2 * Z_CRITICAL[level] / math.sqrt(integer(n, "n", 4) - 3)  # n = 3 has no finite standard error
 
 
 def min_sample_size(level: float = 0.95, max_z_width: float = 1.0) -> int:
-    """Smallest sample count whose Z-space interval width fits the budget."""
-    widest = fisher_z_width(4, level)  # 2z exactly, since sqrt(1) is 1
-    if finite(max_z_width, "max_z_width") <= 0:
-        raise InputError("width budget must be positive")
-    n = max(4, math.ceil((widest / max_z_width) ** 2 + 3))
-    while n > 4 and fisher_z_width(n - 1, level) <= max_z_width:
-        n -= 1
-    while fisher_z_width(n, level) > max_z_width:
-        n += 1
-    return n
+    """Smallest sample count whose Z-space interval width fits the budget.
+
+    fisher_z_width does not increase with n, so bisection finds it among
+    the counts within float range; a budget none of them meets is refused.
+    """
+    lo, hi = 3, int(_FLOAT_MAX)  # n = 3 has no interval; hi is the largest count errors.integer accepts
+    if (width := fisher_z_width(hi, level)) > positive(max_z_width, "max_z_width"):
+        raise InputError(f"max_z_width must be at least {width}, the width at the largest count within float range, got {max_z_width}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fisher_z_width(mid, level) <= max_z_width:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -476,6 +476,72 @@ class TestStats:
         assert result.exit_code == 3
 
 
+INPUT_8x8 = "input: {channels: 3, h: 8, w: 8}\nlayers:\n  - {name: data, kind: input}\n"
+THREE_PROFILES = "model,macs,weights,activations\nx,100,4,6\ny,200,5,5\nz,300,6,9\n"
+MEASUREMENT_HEADER = "model,device,batch,p_avg_w,i_t_ms,input_h,input_w,macs\n"
+P100 = "{fixtures}/hardware/p100.yaml"
+# (arguments, files written under their keys, exit code, error line); {key} names a file's path, {fixtures} the bundle
+REFUSALS = {
+    "no-macs-disparity": (
+        ["analyze", "{model}"],
+        {"model": "name: bn\n" + INPUT_8x8 + "  - {name: bn, kind: batchnorm, inputs: [data], in_place: false}\n"},
+        3, "bn: disparity undefined at AI_c = 0",
+    ),
+    "constant-efficiency": (
+        ["calibrate", "--profiles", "{profiles}", "--measurements", "{measurements}"],
+        {"profiles": THREE_PROFILES, "measurements": MEASUREMENT_HEADER + "".join(
+            f"{model},P100,1,30,2.0,224,224,1000\n" for model in "xyz")},
+        3, "correlation undefined on a zero-variance series",
+    ),
+    "concat-spatial": (
+        ["analyze", "{model}"],
+        {"model": INPUT_8x8 + "  - {name: p, kind: pool, inputs: [data], kernel_h: 2, kernel_w: 2, stride_h: 2, stride_w: 2}\n"
+                              "  - {name: cat, kind: concat, inputs: [data, p]}\n"},
+        2, "{model}: layer 'cat': concat operands disagree on spatial dims",
+    ),
+    "name-not-text": (
+        ["analyze", "{model}"], {"model": "name: 5\n" + INPUT_8x8}, 2, "{model}: top-level `name` must be a non-empty string",
+    ),
+    "no-layers": (
+        ["analyze", "{model}"],
+        {"model": "input: {channels: 3, h: 8, w: 8}\nlayers: []\n"},
+        2, "{model}: top-level `layers` must be a non-empty list",
+    ),
+    "no-device": (
+        ["calibrate", "--profiles", "{fixtures}/reference_metrics.csv", "--measurements", "{fixtures}/measurements.csv"],
+        {}, 2, "ambiguous measurements for model 'alexnet' (multiple devices?); pass --device to disambiguate",
+    ),
+    "measurement-blank-model": (
+        ["calibrate", "--profiles", "{profiles}", "--measurements", "{measurements}"],
+        {"profiles": THREE_PROFILES, "measurements": MEASUREMENT_HEADER + ",P100,1,30,2.0,224,224,1000\n"},
+        2, "{measurements}: row 2: model and device must be non-empty",
+    ),
+    "profiles-no-model-column": (
+        ["roofline", "--hw", P100, "--profiles", "{profiles}"],
+        {"profiles": "name,macs,weights,activations\nx,100,4,6\n"}, 2, "{profiles}: profile CSV needs a 'model' column",
+    ),
+    "profiles-header-only": (
+        ["roofline", "--hw", P100, "--profiles", "{profiles}"],
+        {"profiles": "model,macs,weights,activations\n"}, 2, "{profiles}: no profile rows",
+    ),
+    "profiles-blank-model": (
+        ["roofline", "--hw", P100, "--profiles", "{profiles}"],
+        {"profiles": "model,macs,weights,activations\n,100,4,6\n"}, 2, "{profiles}: row 2: empty model name",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, files, code, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusal_prints_only_its_error_line(runner, tmp_path, fixture_dir, args, files, code, message):
+    paths = {"fixtures": fixture_dir}
+    for key, text in files.items():
+        paths[key] = tmp_path / key
+        paths[key].write_text(text)
+    result = runner.invoke(main, [arg.format(**paths) for arg in args])
+    assert (result.exit_code, result.stdout) == (code, ""), result.output
+    assert result.stderr == f"error: {message.format(**paths)}\n"
+
+
 class TestNonFiniteInputs:
     """NaN and inf pass every `x <= 0` guard; each case here used to print a number."""
 

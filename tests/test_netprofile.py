@@ -261,7 +261,7 @@ class TestBatchScale:
     def test_rejects_a_batch_that_is_not_an_integer(self, b):
         # True would be taken as batch 1, and 2.5 would scale the counts by a fraction of a network
         p = NetworkProfile(macs=1, weights=1, activations=1)
-        with pytest.raises(InputError, match="^batch size must be an integer, got "):
+        with pytest.raises(InputError, match="^batch size must be an integer >= 1, got "):
             batch_scale(p, b)
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -178,6 +179,12 @@ class TestSelectAlpha:
         curve = curve_from_series([0.2, 0.5, 0.7, 0.84, 0.85, 0.85], step=0.2)
         assert select_alpha(curve, epsilon=0.0) == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("r_values", [[math.nan], [0.2, math.nan, 0.7], [0.2, math.inf], [-math.inf, 0.5]])
+    def test_non_finite_r_p_rejected(self, r_values):
+        # NaN matched no argmax, which ended in a bare StopIteration; inf was selected as a plateau
+        with pytest.raises(InputError, match="^r_p at alpha .* must be a finite number, got "):
+            select_alpha(curve_from_series(r_values, step=0.5))
+
 
 class TestAlphaSweep:
     # mixing weights 0.6/0.4 generate the efficiencies, so r_p(0.6) = 1
@@ -291,7 +298,7 @@ class TestFisherCI:
 
     @pytest.mark.parametrize("n", [4.5, 25.0, True])
     def test_n_that_is_not_an_integer_rejected(self, n):
-        with pytest.raises(InputError, match="^n must be an integer, got "):
+        with pytest.raises(InputError, match="^n must be an integer >= 4, got "):
             fisher_ci(0.5, n)
 
     @given(st.floats(min_value=-0.99, max_value=0.99), st.integers(min_value=4, max_value=500))
@@ -347,3 +354,17 @@ class TestSampleSizePlanning:
     def test_nan_budget_rejected(self):
         with pytest.raises(InputError, match="^max_z_width must be a finite number, got nan$"):
             min_sample_size(0.95, math.nan)
+
+    @pytest.mark.parametrize("level", [0.95, 0.99])
+    def test_small_budgets_down_to_the_float_range_limit(self, level):
+        # counting n up or down one at a time walked every n of equal float width: 1e-11 took seconds, 1e-12 hung
+        budgets = [10.0**-k for k in range(1, 154)] + [fisher_z_width(int(sys.float_info.max), level)]
+        for max_z_width in budgets:
+            n = min_sample_size(level, max_z_width)
+            assert fisher_z_width(n, level) <= max_z_width < fisher_z_width(n - 1, level)
+
+    @pytest.mark.parametrize("max_z_width", [1e-160, 5e-324])
+    def test_budget_no_count_in_float_range_meets_rejected(self, max_z_width):
+        # (2z / max_z_width) ** 2 used to overflow to a bare OverflowError
+        with pytest.raises(InputError, match="^max_z_width must be at least 2.92"):
+            min_sample_size(0.95, max_z_width)

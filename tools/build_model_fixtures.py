@@ -843,12 +843,12 @@ def build_xception():
     return b
 
 
-def _sqnxt_block(b, name, src, cin, out, stride):
+def _sqnxt_block(b, name, src, cin, out, stride, g=1):
     need_sc = stride != 1 or cin != out
     t = b.unit(f"{name}.a", src, cin // 2, 1, s=stride)
     t = b.unit(f"{name}.b", t, cin // 4, 1)
-    t = b.unit(f"{name}.c", t, cin // 2, (1, 3), p=(0, 1))
-    t = b.unit(f"{name}.d", t, cin // 2, (3, 1), p=(1, 0))
+    t = b.unit(f"{name}.c", t, cin // 2, (1, 3), p=(0, 1), g=g)
+    t = b.unit(f"{name}.d", t, cin // 2, (3, 1), p=(1, 0), g=g)
     t = b.unit(f"{name}.e", t, out, 1)
     if need_sc:
         sc = b.unit(f"{name}.sc", src, out, 1, s=stride, act=False)
@@ -868,29 +868,12 @@ def _build_sqnxt(name, blocks, stem_k=7, groups=1):
         for i in range(reps):
             stride = 2 if (stage > 0 and i == 0) else 1
             nm = f"s{stage + 1}.b{i + 1}"
-            if groups > 1:
-                t = _sqnxt_block_grouped(b, nm, t, ch, widths[stage], stride, groups)
-            else:
-                t = _sqnxt_block(b, nm, t, ch, widths[stage], stride)
+            t = _sqnxt_block(b, nm, t, ch, widths[stage], stride, groups)
             ch = widths[stage]
     t = b.unit("conv_last", t, 128, 1)
     t = b.pool("gpool", t, 7, 1)
     b.fc("fc", t, 1000)
     return b
-
-
-def _sqnxt_block_grouped(b, name, src, cin, out, stride, g):
-    need_sc = stride != 1 or cin != out
-    t = b.unit(f"{name}.a", src, cin // 2, 1, s=stride)
-    t = b.unit(f"{name}.b", t, cin // 4, 1)
-    t = b.unit(f"{name}.c", t, cin // 2, (1, 3), p=(0, 1), g=g)
-    t = b.unit(f"{name}.d", t, cin // 2, (3, 1), p=(1, 0), g=g)
-    t = b.unit(f"{name}.e", t, out, 1)
-    if need_sc:
-        sc = b.unit(f"{name}.sc", src, out, 1, s=stride, act=False)
-    else:
-        sc = src
-    return b.add(f"{name}.add", sc, t)
 
 
 def build_sqnxt23():
