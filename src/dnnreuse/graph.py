@@ -156,17 +156,10 @@ class ModelGraph:
             iter(self.layers)
         except TypeError:
             raise ModelSyntaxError(f"layers must be an iterable of LayerSpec, got {type(self.layers).__name__}") from None
-        object.__setattr__(self, "layers", tuple(self.layers))  # a generator is read once; topo_order walks layers several times
-        object.__setattr__(self, "layers", tuple(topo_order(self)))
+        object.__setattr__(self, "layers", tuple(topo_order(tuple(self.layers))))  # a generator is read once
         shapes, costs = infer_shapes(self.layers, self.input_shape)
         object.__setattr__(self, "shapes", shapes)
         object.__setattr__(self, "costs", costs)
-
-    def layer(self, name: str) -> LayerSpec:
-        for spec in self.layers:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
 
 
 def _expect_mapping(value, what):
@@ -297,8 +290,8 @@ def serialize_model(graph: ModelGraph) -> str:
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
-def topo_order(graph: ModelGraph) -> list[LayerSpec]:
-    """Layers ordered so producers precede consumers, after checking them.
+def topo_order(layers) -> list[LayerSpec]:
+    """`layers`, a sequence walked several times, ordered so producers precede consumers, after checking them.
 
     Refuses, each over all layers in turn: a layer that is not a LayerSpec,
     a name or inputs that are not strings and fields a layer's kind does
@@ -308,7 +301,6 @@ def topo_order(graph: ModelGraph) -> list[LayerSpec]:
     every report and golden file deterministic: a listing in which every
     input comes before its consumer comes back unchanged.
     """
-    layers = graph.layers
     for i, spec in enumerate(layers):
         _check_fields(spec, i)
     position: dict[str, int] = {}

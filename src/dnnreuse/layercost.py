@@ -13,6 +13,7 @@ shapes a conv layer, before the layer is costed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -67,7 +68,7 @@ def closed_form_ai(family: str, m: int, n: int, s_k: int, s_o: int, g: int = 1) 
     Assumes square kernels and feature maps with ifmap and ofmap of
     equal spatial size s_o (stride 1, same padding). Weight reuse is
     s_o**2 for every family; activation reuse and intensity are family
-    specific.
+    specific. Sizes whose forms leave float range on the way are refused.
     """
     if family not in CONV_FAMILIES:
         raise InputError(f"unknown convolution family {family!r}")
@@ -82,17 +83,22 @@ def closed_form_ai(family: str, m: int, n: int, s_k: int, s_o: int, g: int = 1) 
     if family == "depthwise" and not (m == n == g):
         raise InputError("depthwise convolution requires m = n = g")
 
-    weight_reuse = float(s_o * s_o)
-    if family == "standard":
-        activation_reuse = m * n / (m + n) * s_k * s_k
-        ai = m * n * s_k**2 * s_o**2 / (m * n * s_k**2 + (m + n) * s_o**2)
-    elif family == "pointwise":
-        activation_reuse = m * n / (m + n)
-        ai = m * n * s_o**2 / (m * n + (m + n) * s_o**2)
-    elif family == "group":
-        activation_reuse = m * n / (m + n) * s_k * s_k / g
-        ai = (m / g) * n * s_k**2 * s_o**2 / ((m / g) * n * s_k**2 + (m + n) * s_o**2)
-    else:
-        activation_reuse = s_k * s_k / 2
-        ai = m * s_k**2 * s_o**2 / (m * s_k**2 + 2 * m * s_o**2)
-    return {"ai": ai, "weight_reuse": weight_reuse, "activation_reuse": activation_reuse}
+    try:
+        weight_reuse = float(s_o * s_o)
+        if family == "standard":
+            activation_reuse = m * n / (m + n) * s_k * s_k
+            ai = m * n * s_k**2 * s_o**2 / (m * n * s_k**2 + (m + n) * s_o**2)
+        elif family == "pointwise":
+            activation_reuse = m * n / (m + n)
+            ai = m * n * s_o**2 / (m * n + (m + n) * s_o**2)
+        elif family == "group":
+            activation_reuse = m * n / (m + n) * s_k * s_k / g
+            ai = (m / g) * n * s_k**2 * s_o**2 / ((m / g) * n * s_k**2 + (m + n) * s_o**2)
+        else:
+            activation_reuse = s_k * s_k / 2
+            ai = m * s_k**2 * s_o**2 / (m * s_k**2 + 2 * m * s_o**2)
+        if all(map(math.isfinite, (ai, weight_reuse, activation_reuse))):  # a float product past float max is inf, inf / inf NaN
+            return {"ai": ai, "weight_reuse": weight_reuse, "activation_reuse": activation_reuse}
+    except OverflowError:  # an int too large to convert to a float
+        pass
+    raise InputError(f"closed forms of this {family} convolution leave float range")

@@ -113,6 +113,8 @@ def load_profiles(text: str) -> dict[str, tuple[NetworkProfile, float | None]]:
                 macs = _number(fields, column, "macs") if "macs" in column and fields[column["macs"]] else None
                 if macs is not None and macs < 0:
                     raise InputError(f"macs must be non-negative, got {macs}")
+        except DegenerateDataError as exc:  # a ValueError too, but the row is well formed
+            raise DegenerateDataError(f"{model}: {exc}") from None
         except (TypeError, ValueError) as exc:
             raise InputError(f"row {i}: bad value for {model!r}: {exc}") from None
         profiles[model] = (profile, macs)

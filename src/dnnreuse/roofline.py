@@ -42,6 +42,8 @@ class HardwareSpec:
     def __post_init__(self):
         positive(self.peak_throughput, "peak_throughput")
         positive(self.peak_bandwidth, "peak_bandwidth")
+        if not 0 < self.cmr < math.inf:  # an inf or 0 ridge calls every intensity memory or compute bound
+            raise InputError(f"peak_throughput / peak_bandwidth leaves float range: {self.peak_throughput} / {self.peak_bandwidth}")
 
     @property
     def cmr(self) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import _FLOAT_MAX, DegenerateDataError, InputError, finite, integer, positive
@@ -187,22 +187,17 @@ def alpha_sweep(profiles, efficiencies, step: float = DEFAULT_STEP, epsilon: flo
         ranks = _series(_average_ranks(ordered)) if tied else untied_ranks
         r_s = _correlation(ranks, (list(map(rank_deviations.__getitem__, order)), rank_total, rank_moment))
         points.append(CalibrationPoint(alpha=alpha, r_p=r_p, r_s=r_s))
-    curve = CalibrationCurve(
-        points=tuple(points),
-        selected_alpha=math.nan,
-        selection_rule={"rule": "plateau", "epsilon": epsilon},
-    )
-    return replace(curve, selected_alpha=select_alpha(curve, epsilon))
+    points = tuple(points)
+    return CalibrationCurve(points, select_alpha(points, epsilon), {"rule": "plateau", "epsilon": epsilon})
 
 
-def select_alpha(curve: CalibrationCurve, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Smallest grid alpha where the next step gains less than epsilon.
+def select_alpha(points, epsilon: float = DEFAULT_EPSILON) -> float:
+    """Smallest grid alpha in `points` (CalibrationPoints in grid order) where the next step gains less than epsilon.
 
     A curve that keeps improving by epsilon or more all the way to the
     end has no plateau; the argmax (first among ties) is returned then.
     """
     _check_epsilon(epsilon)
-    points = curve.points
     if not points:
         raise InputError("empty calibration curve")
     for point in points:  # NaN fails every comparison below, so it would match no argmax

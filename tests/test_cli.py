@@ -520,6 +520,11 @@ REFUSALS = {
         ["roofline", "--hw", P100, "--profiles", "{profiles}"],
         {"profiles": "name,macs,weights,activations\nx,100,4,6\n"}, 2, "{profiles}: profile CSV needs a 'model' column",
     ),
+    # a ValueError inside load_profiles, once reported as a bad value with exit 2
+    "profiles-degenerate-row": (
+        ["calibrate", "--profiles", "{profiles}", "--measurements", "{fixtures}/measurements.csv", "--device", "P100"],
+        {"profiles": "model,macs,weights,activations\na,0,0,0\n"}, 3, "a: network has no weights or activations",
+    ),
     "profiles-header-only": (
         ["roofline", "--hw", P100, "--profiles", "{profiles}"],
         {"profiles": "model,macs,weights,activations\n"}, 2, "{profiles}: no profile rows",

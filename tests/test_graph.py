@@ -9,7 +9,6 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -55,6 +54,10 @@ CONV1 = LayerSpec(
 RELU1 = LayerSpec("relu1", "relu", ("conv1",), in_place=True)
 
 
+def layer(graph: ModelGraph, name: str) -> LayerSpec:
+    return next(spec for spec in graph.layers if spec.name == name)
+
+
 def edges(graph: ModelGraph):
     return [(ref, spec.name) for spec in graph.layers for ref in spec.inputs]
 
@@ -77,15 +80,15 @@ class TestParse:
 
     def test_defaults_are_materialized(self):
         g = parse_model(SMALLEST)
-        conv = g.layer("conv1")
+        conv = layer(g, "conv1")
         assert conv.params["stride_h"] == 1
         assert conv.params["groups"] == 1
         # relu defaults to in-place unless the document says otherwise
-        assert g.layer("relu1").in_place is True
+        assert layer(g, "relu1").in_place is True
 
     def test_explicit_in_place_false(self):
         text = SMALLEST.replace("kind: relu, inputs: [conv1]", "kind: relu, inputs: [conv1], in_place: false")
-        assert parse_model(text).layer("relu1").in_place is False
+        assert layer(parse_model(text), "relu1").in_place is False
 
     def test_unknown_kind_rejected(self):
         text = SMALLEST.replace("kind: relu", "kind: deconv")
@@ -343,7 +346,7 @@ class TestFaultPrecedence:
             THREE = 3
 
         g = ModelGraph("hand", TensorShape(3, 8, 8), (DATA, conv(out_channels=4, kernel_h=Size.THREE, kernel_w=3)))
-        assert g.layer("conv1").params["kernel_h"] is Size.THREE
+        assert layer(g, "conv1").params["kernel_h"] is Size.THREE
         assert g.costs["conv1"] == LayerCost(macs=4 * 3 * 3 * 3 * 6 * 6, weights=4 * 3 * 3 * 3, activations=3 * 64 + 4 * 36)
 
 
@@ -664,7 +667,7 @@ class TestAnnotationsFollowTheGraph:
 class TestTopoOrder:
     def test_linear_chain(self):
         g = parse_model(SMALLEST)
-        assert [l.name for l in topo_order(g)] == ["data", "conv1", "relu1"]
+        assert [l.name for l in topo_order(g.layers)] == ["data", "conv1", "relu1"]
 
     def test_diamond_tie_broken_by_declaration(self):
         text = """
@@ -675,7 +678,7 @@ layers:
   - {name: c, kind: relu, inputs: [a]}
   - {name: d, kind: add, inputs: [b, c]}
 """
-        assert [l.name for l in topo_order(parse_model(text))] == ["a", "b", "c", "d"]
+        assert [l.name for l in topo_order(parse_model(text).layers)] == ["a", "b", "c", "d"]
 
     def test_layer_feeding_itself_is_a_cycle(self):
         # listed after its producer, as every other input is, yet it is its own producer
@@ -695,7 +698,7 @@ layers:
         text = "input: {channels: 4, h: 8, w: 8}\nlayers:\n" + "\n".join(lines)
         g = parse_model(text)
         assert len(g.layers) == 25
-        order = topo_order(g)
+        order = topo_order(g.layers)
         index = {l.name: i for i, l in enumerate(order)}
         for spec in g.layers:
             for ref in spec.inputs:
@@ -725,7 +728,7 @@ def random_dags():
 
 @given(random_dags())
 def test_topo_order_respects_every_edge(graph):
-    order = topo_order(graph)
+    order = topo_order(graph.layers)
     assert order == list(graph.layers)
     assert sorted(l.name for l in order) == sorted(l.name for l in graph.layers)
     index = {l.name: i for i, l in enumerate(order)}
@@ -737,9 +740,9 @@ def test_topo_order_respects_every_edge(graph):
 @given(random_listings())
 def test_topo_order_breaks_ties_as_the_longhand_scheduler(layers):
     # as drawn, and as a built graph lists them: producers first, which must come back unchanged
-    assert topo_order(SimpleNamespace(layers=layers)) == longhand_topo_order(layers)
+    assert topo_order(layers) == longhand_topo_order(layers)
     graph = ModelGraph(name="random", input_shape=TensorShape(1, 4, 4), layers=layers)
-    assert topo_order(graph) == longhand_topo_order(graph.layers) == list(graph.layers)
+    assert topo_order(graph.layers) == longhand_topo_order(graph.layers) == list(graph.layers)
 
 
 @given(random_dags())

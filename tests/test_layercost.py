@@ -235,6 +235,19 @@ class TestClosedForms:
         with pytest.raises(InputError):
             closed_form_ai("warped", 8, 8, 3, 28)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("standard", 8, 16, 3, 28, 2), "standard convolution has g = 1"),
+            (("group", 8, 12, 3, 28, 3), "groups 3 must divide m = 8 and n = 12"),
+            (("standard", 8, 16, 3, 10**200, 1), "closed forms of this standard convolution leave float range"),
+            (("group", 10**300, 10**300, 3, 10**5, 1), "closed forms of this group convolution leave float range"),
+        ],
+    )
+    def test_refusal_names_its_rule(self, args, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            closed_form_ai(*args)
+
 
 @settings(max_examples=200, deadline=None)
 @given(

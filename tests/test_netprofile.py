@@ -113,6 +113,11 @@ class TestLoadProfiles:
         with pytest.raises(InputError, match="duplicate"):
             load_profiles("model,mc_over_w,mc_over_a\nx,5,10\nx,6,10\n")
 
+    def test_table_of_neither_form_rejected(self):
+        message = "^profile CSV needs either macs,weights,activations or mc_over_w,mc_over_a columns$"
+        with pytest.raises(InputError, match=message):
+            load_profiles("model,macs,mc_over_w\nx,100,5\n")
+
 
 class TestPeakConcurrent:
     def test_chain_peak_is_adjacent_pair(self):
@@ -256,6 +261,11 @@ class TestBatchScale:
         p = NetworkProfile(macs=1, weights=1, activations=1)
         with pytest.raises(InputError):
             batch_scale(p, 0)
+
+    def test_rejects_a_profile_not_at_batch_1(self):
+        p = batch_scale(NetworkProfile(macs=1, weights=1, activations=1), 4)
+        with pytest.raises(InputError, match="^batch_scale expects a batch-1 profile$"):
+            batch_scale(p, 2)
 
     @pytest.mark.parametrize("b", [2.5, 2.0, True])
     def test_rejects_a_batch_that_is_not_an_integer(self, b):

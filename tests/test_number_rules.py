@@ -25,6 +25,8 @@ def not_a_count(minimum=1):
     return st.one_of(st.floats(), st.booleans(), st.integers(max_value=minimum - 1), BEYOND_FLOAT)
 
 
+# counts within float range whose square is not
+SQUARE_BEYOND_FLOAT = st.one_of(st.sampled_from([10**200, 10**300]), st.integers(min_value=2**512, max_value=2**1023))
 NOT_POSITIVE = st.one_of(
     st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf, True, False]), st.integers(max_value=0), BEYOND_FLOAT
 )
@@ -48,6 +50,9 @@ REFUSALS = {
         f"closed_form_ai.{name}": (lambda v, name=name: closed_form_ai("standard", **{**CONV, name: v}), not_a_count())
         for name in CONV
     },
+    # counts the integer rule takes, in closed forms that leave float range
+    "closed_form_ai.standard.s_o": (lambda v: closed_form_ai("standard", **{**CONV, "s_o": v}), SQUARE_BEYOND_FLOAT),
+    "closed_form_ai.group.m_n": (lambda v: closed_form_ai("group", v, v, 3, 10**5, 1), SQUARE_BEYOND_FLOAT),
     "HardwareSpec.peak_throughput": (lambda v: HardwareSpec("x", v, 1e11), NOT_POSITIVE),
     "HardwareSpec.peak_bandwidth": (lambda v: HardwareSpec("x", 1e12, v), NOT_POSITIVE),
     "classify.intensity": (lambda v: classify(HW, v), NOT_POSITIVE),

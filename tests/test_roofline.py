@@ -41,6 +41,12 @@ class TestHardwareSpec:
         with pytest.raises(InputError, match="must be a finite number"):
             HardwareSpec("x", *peaks)
 
+    @pytest.mark.parametrize("peaks, ratio", [((1e308, 1e-308), "1e+308 / 1e-308"), ((1e-308, 1e308), "1e-308 / 1e+308")])
+    def test_ridge_outside_float_range_rejected(self, peaks, ratio):
+        # a ridge at inf would call every intensity memory bound, and one at 0 every intensity compute bound
+        with pytest.raises(InputError, match=f"^peak_throughput / peak_bandwidth leaves float range: {re.escape(ratio)}$"):
+            HardwareSpec("x", *peaks)
+
     def test_load_from_yaml(self, hardware_dir):
         hw = load_hardware_spec((hardware_dir / "p4000.yaml").read_text())
         assert hw.name == "P4000"
@@ -245,10 +251,9 @@ class TestChart:
             roofline_points(P4000, self.POINTS + [("alexnet", 11.47)])
 
     def test_axis_outside_float_range_rejected(self):
-        # the ridge sits at 1e300 / 1e-300 = inf operations per byte
-        hw = HardwareSpec(name="x", peak_throughput=1e300, peak_bandwidth=1e-300)
-        with pytest.raises(InputError, match="float range"):
-            roofline_points(hw, self.POINTS)
+        # the axis runs to ten times the largest intensity, 1e309 = inf operations per byte
+        with pytest.raises(InputError, match="^roofline intensity axis leaves float range"):
+            roofline_points(P100, self.POINTS + [("huge", 1e308)])
 
     def test_attainable_in_chart_matches_closed_form(self):
         chart = roofline_points(P100, self.POINTS)

@@ -10,7 +10,6 @@ from dnnreuse.metrics import weighted_intensity
 from dnnreuse.netprofile import NetworkProfile
 from dnnreuse.stats import (
     _average_ranks,
-    CalibrationCurve,
     CalibrationPoint,
     alpha_grid,
     alpha_sweep,
@@ -25,11 +24,7 @@ from tests.oracles import longhand_fisher_ci, longhand_min_sample_size, rank_for
 
 
 def curve_from_series(r_values, step):
-    points = tuple(
-        CalibrationPoint(alpha=round(i * step, 10), r_p=r, r_s=r)
-        for i, r in enumerate(r_values)
-    )
-    return CalibrationCurve(points=points, selected_alpha=math.nan, selection_rule={})
+    return tuple(CalibrationPoint(alpha=round(i * step, 10), r_p=r, r_s=r) for i, r in enumerate(r_values))
 
 
 class TestPearson:
@@ -166,7 +161,7 @@ class TestSelectAlpha:
 
     def test_empty_curve_rejected(self):
         with pytest.raises(InputError):
-            select_alpha(CalibrationCurve(points=(), selected_alpha=math.nan, selection_rule={}))
+            select_alpha(())
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -1.0])
     def test_non_finite_or_negative_epsilon_rejected(self, epsilon):

@@ -332,10 +332,9 @@ def build_mobilenet_v2():
     return b
 
 
-def _res_bottleneck(b, name, src, mid, out, stride, downsample, stride_on_mid=False):
-    s1, s2 = (1, stride) if stride_on_mid else (stride, 1)
-    t = b.unit(f"{name}.c1", src, mid, 1, s=s1)
-    t = b.unit(f"{name}.c2", t, mid, 3, s=s2, p=1)
+def _res_bottleneck(b, name, src, mid, out, stride, downsample):
+    t = b.unit(f"{name}.c1", src, mid, 1, s=stride)
+    t = b.unit(f"{name}.c2", t, mid, 3, p=1)
     t = b.unit(f"{name}.c3", t, out, 1, act=False)
     if downsample:
         sc = b.unit(f"{name}.ds", src, out, 1, s=stride, act=False)
@@ -343,36 +342,6 @@ def _res_bottleneck(b, name, src, mid, out, stride, downsample, stride_on_mid=Fa
         sc = src
     t = b.add(f"{name}.add", sc, t)
     return b.relu(f"{name}.relu", t)
-
-
-def _build_resnet(name, blocks, stride_on_mid):
-    b = Builder(name)
-    t = b.unit("conv1", "data", 64, 7, s=2, p=3)
-    t = b.pool("pool1", t, 3, 2, p=1)
-    mids = [64, 128, 256, 512]
-    outs = [256, 512, 1024, 2048]
-    for stage, reps in enumerate(blocks):
-        for i in range(reps):
-            stride = 2 if (stage > 0 and i == 0) else 1
-            t = _res_bottleneck(
-                b, f"s{stage + 2}.b{i + 1}", t, mids[stage], outs[stage],
-                stride, downsample=(i == 0), stride_on_mid=stride_on_mid,
-            )
-    t = b.pool("gpool", t, 7, 1)
-    b.fc("fc", t, 1000)
-    return b
-
-
-def build_resnet50():
-    return _build_resnet("resnet-50", [3, 4, 6, 3], stride_on_mid=False)
-
-
-def build_resnet101():
-    return _build_resnet("resnet-101", [3, 4, 23, 3], stride_on_mid=False)
-
-
-def build_resnet152():
-    return _build_resnet("resnet-152", [3, 8, 36, 3], stride_on_mid=False)
 
 
 def _preact_bottleneck(b, name, src, mid, out, stride, downsample):
@@ -390,33 +359,6 @@ def _preact_bottleneck(b, name, src, mid, out, stride, downsample):
     return b.add(f"{name}.add", sc, t)
 
 
-def _build_resnet_v2(name, blocks):
-    b = Builder(name)
-    t = b.unit("conv1", "data", 64, 7, s=2, p=3)
-    t = b.pool("pool1", t, 3, 2, p=1)
-    mids = [64, 128, 256, 512]
-    outs = [256, 512, 1024, 2048]
-    for stage, reps in enumerate(blocks):
-        for i in range(reps):
-            stride = 2 if (stage > 0 and i == 0) else 1
-            t = _preact_bottleneck(
-                b, f"s{stage + 2}.b{i + 1}", t, mids[stage], outs[stage],
-                stride, downsample=(i == 0),
-            )
-    t = b.preact("final", t)
-    t = b.pool("gpool", t, 7, 1)
-    b.fc("fc", t, 1000)
-    return b
-
-
-def build_resnet101_v2():
-    return _build_resnet_v2("resnet101-v2", [3, 4, 23, 3])
-
-
-def build_resnet152_v2():
-    return _build_resnet_v2("resnet152-v2", [3, 8, 36, 3])
-
-
 def _resnext_block(b, name, src, width, out, stride, downsample):
     t = b.unit(f"{name}.c1", src, width, 1)
     t = b.unit(f"{name}.c2", t, width, 3, s=stride, p=1, g=32)
@@ -429,30 +371,52 @@ def _resnext_block(b, name, src, width, out, stride, downsample):
     return b.relu(f"{name}.relu", t)
 
 
-def _build_resnext(name, blocks):
-    b = Builder(name, h=227)
+RESNET_WIDTHS = (64, 128, 256, 512)
+RESNEXT_WIDTHS = (128, 256, 512, 1024)
+
+
+def _build_bottleneck_net(name, blocks, block, widths, h=224, gpool=7):
+    """7x7 stem, four stages of `block` whose first block downsamples, global pool and fc."""
+    b = Builder(name, h=h)
     t = b.unit("conv1", "data", 64, 7, s=2, p=3)
     t = b.pool("pool1", t, 3, 2, p=1)
-    widths = [128, 256, 512, 1024]
-    outs = [256, 512, 1024, 2048]
-    for stage, reps in enumerate(blocks):
+    for stage, (reps, width, out) in enumerate(zip(blocks, widths, (256, 512, 1024, 2048))):
         for i in range(reps):
             stride = 2 if (stage > 0 and i == 0) else 1
-            t = _resnext_block(
-                b, f"s{stage + 2}.b{i + 1}", t, widths[stage], outs[stage],
-                stride, downsample=(i == 0),
-            )
-    t = b.pool("gpool", t, 8, 1)
+            t = block(b, f"s{stage + 2}.b{i + 1}", t, width, out, stride, downsample=(i == 0))
+    if block is _preact_bottleneck:  # its blocks end in a bare sum, so the head normalises it first
+        t = b.preact("final", t)
+    t = b.pool("gpool", t, gpool, 1)
     b.fc("fc", t, 1000)
     return b
 
 
+def build_resnet50():
+    return _build_bottleneck_net("resnet-50", [3, 4, 6, 3], _res_bottleneck, RESNET_WIDTHS)
+
+
+def build_resnet101():
+    return _build_bottleneck_net("resnet-101", [3, 4, 23, 3], _res_bottleneck, RESNET_WIDTHS)
+
+
+def build_resnet152():
+    return _build_bottleneck_net("resnet-152", [3, 8, 36, 3], _res_bottleneck, RESNET_WIDTHS)
+
+
+def build_resnet101_v2():
+    return _build_bottleneck_net("resnet101-v2", [3, 4, 23, 3], _preact_bottleneck, RESNET_WIDTHS)
+
+
+def build_resnet152_v2():
+    return _build_bottleneck_net("resnet152-v2", [3, 8, 36, 3], _preact_bottleneck, RESNET_WIDTHS)
+
+
 def build_resnext50():
-    return _build_resnext("resnext50-32x4d", [3, 4, 6, 3])
+    return _build_bottleneck_net("resnext50-32x4d", [3, 4, 6, 3], _resnext_block, RESNEXT_WIDTHS, h=227, gpool=8)
 
 
 def build_resnext101():
-    return _build_resnext("resnext101-32x4d", [3, 4, 23, 3])
+    return _build_bottleneck_net("resnext101-32x4d", [3, 4, 23, 3], _resnext_block, RESNEXT_WIDTHS, h=227, gpool=8)
 
 
 def _dense_block(b, name, src, layers, growth):
