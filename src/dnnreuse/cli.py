@@ -81,12 +81,6 @@ def _load_graph(path: str):
     return _parse_file(path, lambda text: parse_model(text, name=pathlib.Path(path).stem))
 
 
-def _cell(value, form) -> str:
-    if value is None:
-        return ""
-    return value if isinstance(value, str) else form(value)
-
-
 def _emit(fmt: str, doc, columns: dict, rows) -> None:
     """Print `doc` as JSON, or `rows` as CSV under the column map `columns`.
 
@@ -100,7 +94,12 @@ def _emit(fmt: str, doc, columns: dict, rows) -> None:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_cell(row.get(name), form) for name, form in columns.items()] for row in rows)
+    items = columns.items()
+    # csv.writer prints None as an empty cell
+    writer.writerows(
+        [value if (value := row.get(name)) is None or isinstance(value, str) else form(value) for name, form in items]
+        for row in rows
+    )
     click.echo(out.getvalue(), nl=False)
 
 

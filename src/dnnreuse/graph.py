@@ -119,6 +119,11 @@ class LayerSpec:
 
     `in_place` (relu and batchnorm only) means the layer writes into its
     producer's storage and produces no tensor of its own.
+
+    `params` must not change once a ModelGraph holds the spec: the graph
+    computes its `shapes` and `costs` from it once, at construction, and
+    never reads it again, so a changed dict would leave both stale. To
+    change a parameter, build a new spec and a new graph.
     """
 
     name: str

@@ -67,6 +67,7 @@ def load_measurements(text: str) -> list[MeasurementRecord]:
 
     records = []
     seen = set()
+    new = tuple.__new__
     for i, (model, device, batch, p_avg_w, i_t_ms, input_h, input_w, macs) in rows:
         model, device, macs = model.strip(), device.strip(), macs.strip()
         if not model or not device:
@@ -93,7 +94,7 @@ def load_measurements(text: str) -> list[MeasurementRecord]:
         if key in seen:
             raise InputError(f"row {i}: duplicate (model, device, batch) key {key}")
         seen.add(key)
-        records.append(MeasurementRecord(model, device, b, p, t, h, w, m))
+        records.append(new(MeasurementRecord, (model, device, b, p, t, h, w, m)))  # as MeasurementRecord._make builds it
     return records
 
 

@@ -36,16 +36,20 @@ class CaseTag(str, Enum):
     ACTIVATIONS_DOMINANT = "ActivationsDominant"
 
 
-def intensity_at(alpha: float):
-    """DI at one alpha, as a function of (activation_reuse, weight_reuse)."""
-    if not 0 <= alpha <= 1:
-        raise InputError(f"alpha must lie in [0, 1], got {alpha}")
-    return lambda activation_reuse, weight_reuse: (alpha * activation_reuse + (1 - alpha) * weight_reuse) / 4
+def _intensities(alpha: float, activation_reuse, weight_reuse) -> list[float]:
+    """DI at one alpha of each network, given the networks' activation reuses and weight reuses in the same order.
+
+    The one statement of the DI formula. The caller checks alpha.
+    """
+    beta = 1 - alpha
+    return [(alpha * a + beta * w) / 4 for a, w in zip(activation_reuse, weight_reuse)]
 
 
 def weighted_intensity(profile: NetworkProfile, alpha: float = DEFAULT_ALPHA) -> float:
     """DI: activation reuse weighted by alpha, weight reuse by 1 - alpha."""
-    return intensity_at(alpha)(profile.activation_reuse, profile.weight_reuse)
+    if not 0 <= alpha <= 1:
+        raise InputError(f"alpha must lie in [0, 1], got {alpha}")
+    return _intensities(alpha, (profile.activation_reuse,), (profile.weight_reuse,))[0]
 
 
 def disparity(profile: NetworkProfile, alpha: float = DEFAULT_ALPHA) -> float:

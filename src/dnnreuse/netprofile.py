@@ -20,12 +20,13 @@ forward-pass count comes from an optional macs column.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from .document import read_rows
-from .errors import DegenerateDataError, InputError, finite, integer
+from .errors import _FLOAT_MAX, DegenerateDataError, InputError, finite, integer
 from .graph import ModelGraph
 
 
@@ -40,14 +41,25 @@ class NetworkProfile:
     batch: int = 1
 
     def __post_init__(self):
-        if min(finite(self.macs, "macs"), finite(self.weights, "weights"), finite(self.activations, "activations")) < 0:
-            raise InputError("profile counts must be non-negative")
-        if self.weights + self.activations <= 0:
+        macs, weights, activations = self.macs, self.weights, self.activations
+        # accepted when every count lies in [0, float max], which NaN fails, and none is a bool; only a
+        # refused profile goes through finite, whose message names the first count that fails
+        try:
+            accepted = 0 <= macs <= _FLOAT_MAX and 0 <= weights <= _FLOAT_MAX and 0 <= activations <= _FLOAT_MAX
+        except TypeError:  # not a number at all
+            accepted = False
+        if not accepted or bool in (macs.__class__, weights.__class__, activations.__class__):
+            if min(finite(macs, "macs"), finite(weights, "weights"), finite(activations, "activations")) < 0:
+                raise InputError("profile counts must be non-negative")
+        if weights + activations <= 0:
             raise DegenerateDataError("network has no weights or activations")
 
     @property
     def ai_c(self) -> float:
-        return self.macs / (self.weights + self.activations)
+        data = self.weights + self.activations
+        if data == math.inf:  # float counts can sum beyond float range; halved, they cannot, and the quotient is the same
+            return (self.macs / 2) / (self.weights / 2 + self.activations / 2)
+        return self.macs / data
 
     @property
     def weight_reuse(self) -> float:
@@ -88,6 +100,22 @@ def _number(fields: list, column: dict, name: str) -> float:
     return finite(float(fields[column[name]]), name)
 
 
+def _cell_by_cell(fields: list, column: dict, count_form: bool) -> tuple[NetworkProfile, float | None]:
+    """(profile, forward-pass macs or None) of a row, each cell converted and checked in turn.
+
+    The first cell that fails, in the order the row's form reads them,
+    raises its own message.
+    """
+    if count_form:
+        macs = _number(fields, column, "macs")
+        return NetworkProfile(macs, _number(fields, column, "weights"), _number(fields, column, "activations")), macs
+    profile = NetworkProfile.from_reuse(_number(fields, column, "mc_over_w"), _number(fields, column, "mc_over_a"))
+    macs = _number(fields, column, "macs") if "macs" in column and fields[column["macs"]] else None
+    if macs is not None and macs < 0:
+        raise InputError(f"macs must be non-negative, got {macs}")
+    return profile, macs
+
+
 def load_profiles(text: str) -> dict[str, tuple[NetworkProfile, float | None]]:
     """model -> (profile, forward-pass macs or None) from a profiles CSV, in file order."""
     header, rows = read_rows(text)
@@ -97,27 +125,44 @@ def load_profiles(text: str) -> dict[str, tuple[NetworkProfile, float | None]]:
     count_form = {"macs", "weights", "activations"}.issubset(column)
     if not count_form and not {"mc_over_w", "mc_over_a"}.issubset(column):
         raise InputError("profile CSV needs either macs,weights,activations or mc_over_w,mc_over_a columns")
+    model_at, macs_at = column["model"], column.get("macs")
+    first_at, second_at = (column["weights"], column["activations"]) if count_form else (column["mc_over_w"], column["mc_over_a"])
     profiles = {}
     for i, fields in rows:
-        model = fields[column["model"]].strip()
+        model = fields[model_at].strip()
         if not model:
             raise InputError(f"row {i}: empty model name")
         if model in profiles:
             raise InputError(f"row {i}: duplicate model {model!r}")
+        # a row is accepted when every number lies in range, which NaN fails, and a count-form row has data; any
+        # other row goes through _cell_by_cell, which takes it (as a ratio pair whose product underflows to 0)
+        # or raises for its first bad cell
         try:
+            first, second = float(fields[first_at]), float(fields[second_at])
             if count_form:
-                macs = _number(fields, column, "macs")
-                profile = NetworkProfile(macs, _number(fields, column, "weights"), _number(fields, column, "activations"))
+                macs = float(fields[macs_at])
+                accepted = (
+                    0 <= macs <= _FLOAT_MAX and 0 <= first <= _FLOAT_MAX and 0 <= second <= _FLOAT_MAX and 0 < first + second
+                )
             else:
-                profile = NetworkProfile.from_reuse(_number(fields, column, "mc_over_w"), _number(fields, column, "mc_over_a"))
-                macs = _number(fields, column, "macs") if "macs" in column and fields[column["macs"]] else None
-                if macs is not None and macs < 0:
-                    raise InputError(f"macs must be non-negative, got {macs}")
+                macs = float(fields[macs_at]) if macs_at is not None and fields[macs_at] else None
+                accepted = (
+                    0 < first <= _FLOAT_MAX
+                    and 0 < second <= _FLOAT_MAX
+                    and 0 < first * second <= _FLOAT_MAX
+                    and (macs is None or 0 <= macs <= _FLOAT_MAX)
+                )
+        except ValueError:
+            accepted = False
+        if accepted:
+            profiles[model] = (NetworkProfile(macs, first, second) if count_form else NetworkProfile.from_reuse(first, second)), macs
+            continue
+        try:
+            profiles[model] = _cell_by_cell(fields, column, count_form)
         except DegenerateDataError as exc:  # a ValueError too, but the row is well formed
             raise DegenerateDataError(f"{model}: {exc}") from None
         except (TypeError, ValueError) as exc:
             raise InputError(f"row {i}: bad value for {model!r}: {exc}") from None
-        profiles[model] = (profile, macs)
     if not profiles:
         raise InputError("no profile rows")
     return profiles

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import _FLOAT_MAX, DegenerateDataError, InputError, finite, integer, positive
-from .metrics import intensity_at
+from .metrics import _intensities
 
 Z_CRITICAL = {0.95: 1.96, 0.99: 2.58}
 DEFAULT_STEP = 0.05
@@ -74,14 +74,16 @@ def _unit_deviations(values) -> list[float]:
     """
     if not all(map(math.isfinite, values)):
         raise DegenerateDataError("correlation undefined on non-finite values")
-    if min(values) == max(values):
+    low, high = min(values), max(values)
+    if low == high:
         raise DegenerateDataError("correlation undefined on a zero-variance series")
     # an exact power-of-two rescale into (-1, 1) keeps the mean's sum finite
-    _, exponent = math.frexp(max(map(abs, values)))
+    _, exponent = math.frexp(max(abs(low), abs(high)))
     values = list(map(math.ldexp, values, repeat(-exponent)))
     mean = math.fsum(values) / len(values)
     deviations = list(map(operator.sub, values, repeat(mean)))
-    peak = max(map(abs, deviations))
+    # rescaling and subtracting the mean never reorder two values, so the largest |deviation| is at low or high
+    peak = max(abs(math.ldexp(low, -exponent) - mean), abs(math.ldexp(high, -exponent) - mean))
     return list(map(operator.truediv, deviations, repeat(peak)))
 
 
@@ -179,7 +181,7 @@ def alpha_sweep(profiles, efficiencies, step: float = DEFAULT_STEP, epsilon: flo
     points = []
     order = list(range(len(profiles)))
     for alpha in grid:
-        dis = list(map(intensity_at(alpha), activation_reuse, weight_reuse))
+        dis = _intensities(alpha, activation_reuse, weight_reuse)  # every grid alpha lies in [0, 1]
         r_p = _correlation(_series(dis), efficiency)
         order.sort(key=dis.__getitem__)  # DI moves little between alphas, so Timsort gets a nearly sorted list
         ordered = list(map(dis.__getitem__, order))

@@ -261,3 +261,86 @@ def longhand_min_sample_size(level, max_z_width):
     while 2 * FISHER_Z_CRITICAL[level] / math.sqrt(n - 3) > max_z_width:
         n += 1
     return n
+
+
+def longhand_profiles(header, rows):
+    """(profiles, None) for the rows of a profiles CSV that are all accepted, or (None, (exit code, message)) for the first refused.
+
+    `header` names the columns, each row holds its fields in header order,
+    and the first row is CSV row 2; a repeated column name means its last
+    column. The table is in count form when it has macs, weights and
+    activations columns, else in ratio form (mc_over_w and mc_over_a).
+    A profile is `model -> ((macs, weights, activations), forward-pass
+    macs or None)`. Cells are judged one at a time, in the order the rule
+    below lists them; a bad cell exits 2, a network with no data 3.
+    - Every number cell must convert with float() and be finite.
+    - Count form: macs, weights, activations; no count may be negative,
+      and weights + activations must be above 0. The forward-pass count is
+      the macs cell.
+    - Ratio form: mc_over_w, mc_over_a, both above 0. The counts are
+      (mc_over_w * mc_over_a, mc_over_a, mc_over_w), and the product must
+      be finite. A macs column, if any, holds the forward-pass count:
+      None when the cell is empty (not trimmed), else a number not below 0.
+    """
+    at = {name: i for i, name in enumerate(header)}
+    count_form = all(name in at for name in ("macs", "weights", "activations"))
+    profiles = {}
+    for number, fields in enumerate(rows, start=2):
+        model = fields[at["model"]].strip()
+        if model == "":
+            return None, (2, f"row {number}: empty model name")
+        if model in profiles:
+            return None, (2, f"row {number}: duplicate model {model!r}")
+
+        def bad(reason):
+            return None, (2, f"row {number}: bad value for {model!r}: {reason}")
+
+        values = {}
+        for column in ("macs", "weights", "activations") if count_form else ("mc_over_w", "mc_over_a"):
+            try:
+                values[column] = float(fields[at[column]])
+            except ValueError as exc:
+                return bad(exc)
+            if not math.isfinite(values[column]):
+                return bad(f"{column} must be a finite number, got {reprlib.repr(values[column])}")
+        if count_form:
+            counts = (values["macs"], values["weights"], values["activations"])
+            if any(count < 0 for count in counts):
+                return bad("profile counts must be non-negative")
+            if counts[1] + counts[2] <= 0:
+                return None, (3, f"{model}: network has no weights or activations")
+            profiles[model] = (counts, counts[0])
+            continue
+        weight_reuse, activation_reuse = values["mc_over_w"], values["mc_over_a"]
+        if weight_reuse <= 0 or activation_reuse <= 0:
+            return bad("reuse ratios must be positive")
+        product = weight_reuse * activation_reuse
+        if not math.isfinite(product):
+            return bad(f"macs must be a finite number, got {reprlib.repr(product)}")
+        forward = None
+        if "macs" in at and fields[at["macs"]] != "":
+            try:
+                forward = float(fields[at["macs"]])
+            except ValueError as exc:
+                return bad(exc)
+            if not math.isfinite(forward):
+                return bad(f"macs must be a finite number, got {reprlib.repr(forward)}")
+            if forward < 0:
+                return bad(f"macs must be non-negative, got {forward}")
+        profiles[model] = ((product, activation_reuse, weight_reuse), forward)
+    return profiles, None
+
+
+def longhand_unit_deviations(values):
+    """Deviations from the mean over the largest one, in three passes as first written.
+
+    The values are rescaled by the power of two that puts the largest |v|
+    in [0.5, 1), the mean is the fsum of the rescaled values over their
+    count, and the largest |deviation| is found by a pass of its own.
+    """
+    _, exponent = math.frexp(max(abs(v) for v in values))
+    scaled = [math.ldexp(v, -exponent) for v in values]
+    mean = math.fsum(scaled) / len(scaled)
+    deviations = [s - mean for s in scaled]
+    peak = max(abs(d) for d in deviations)
+    return [d / peak for d in deviations]

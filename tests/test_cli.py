@@ -360,6 +360,13 @@ class TestRoofline:
         point_rows = [l for l in out.splitlines() if l.startswith("model,")]
         assert len(point_rows) == 25
 
+    def test_profile_whose_data_sum_leaves_float_range(self, runner, tmp_path, hardware_dir):
+        # weights + activations leaves float range, but AI_c is 0.5, an intensity the roofline places
+        profiles = tmp_path / "p.csv"
+        profiles.write_text("model,macs,weights,activations\nx,1e308,1e308,1e308\n")
+        out = run_ok(runner, ["roofline", "--hw", str(hardware_dir / "p100.yaml"), "--profiles", str(profiles)])
+        assert out.splitlines()[1].startswith("model,x,0.5000,")
+
     def test_measured_column(self, runner, hardware_dir, model_dir, fixture_dir):
         out = run_ok(
             runner,

@@ -19,7 +19,7 @@ from dnnreuse.netprofile import (
     peak_concurrent_activations,
 )
 
-from oracles import brute_force_peak_activations
+from oracles import brute_force_peak_activations, longhand_profiles
 from test_graph import random_dags
 
 
@@ -117,6 +117,89 @@ class TestLoadProfiles:
         message = "^profile CSV needs either macs,weights,activations or mc_over_w,mc_over_a columns$"
         with pytest.raises(InputError, match=message):
             load_profiles("model,macs,mc_over_w\nx,100,5\n")
+
+
+COUNT_HEADER = ["model", "macs", "weights", "activations"]
+RATIO_HEADER = ["model", "mc_over_w", "mc_over_a", "macs"]
+# column orders the loader must find its columns in, a repeated name meaning its last column
+HEADERS = (
+    COUNT_HEADER,
+    ["activations", "model", "weights", "macs"],
+    ["model", "macs", "weights", "activations", "macs"],
+    RATIO_HEADER,
+    ["model", "mc_over_w", "mc_over_a"],
+    ["mc_over_a", "model", "macs", "mc_over_w"],
+)
+# cells that test the checks: 1e200 squared overflows and 1e-200 squared underflows to 0 as a ratio-form product
+PROFILE_EDGE_CELLS = ("", "  ", "0", "-0", "-1", " 4 ", "nan", "inf", "-inf", "1e999", "abc", "1e-200", "1e200", "1e308")
+PLAIN_PROFILE_CELLS = {
+    "macs": st.integers(0, 10**12).map(str) | st.floats(0.0, 1e300).map(repr),
+    "weights": st.integers(0, 10**9).map(str) | st.floats(0.0, 1e300).map(repr),
+    "activations": st.integers(0, 10**9).map(str) | st.floats(0.0, 1e300).map(repr),
+    "mc_over_w": st.floats(5e-324, 1e300).map(repr),
+    "mc_over_a": st.floats(5e-324, 1e300).map(repr),
+}
+
+
+def assert_profiles_agree_with_oracle(header, rows):
+    """load_profiles gives longhand_profiles' counts, to the bit and in row order, or its exact error."""
+    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    expected, refusal = longhand_profiles(header, rows)
+    if refusal is not None:
+        code, message = refusal
+        with pytest.raises(InputError if code == 2 else DegenerateDataError) as refused:
+            load_profiles(text)
+        assert (type(refused.value), str(refused.value)) == ((InputError if code == 2 else DegenerateDataError), message)
+        return
+    loaded = load_profiles(text)
+    # repr keeps what == does not: -0.0 against 0.0, and a float against an int
+    assert repr({m: ((p.macs, p.weights, p.activations), macs) for m, (p, macs) in loaded.items()}) == repr(expected)
+
+
+@st.composite
+def profile_tables(draw):
+    """A header of either form and one to three rows; in about half the rows, some number cells are edge cells."""
+    header = draw(st.sampled_from(HEADERS))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = [draw(PLAIN_PROFILE_CELLS[name]) if name in PLAIN_PROFILE_CELLS else "" for name in header]
+        row[header.index("model")] = draw(st.sampled_from(("m0", "m1", "m2", " m1 ", "")))
+        if "weights" not in header and "macs" in header and draw(st.booleans()):
+            row[len(header) - 1 - header[::-1].index("macs")] = ""  # a blank forward-pass count
+        if draw(st.booleans()):
+            numbers = [i for i, name in enumerate(header) if name != "model"]
+            for i in draw(st.sets(st.sampled_from(numbers), min_size=1)):
+                row[i] = draw(st.sampled_from(PROFILE_EDGE_CELLS))
+        rows.append(row)
+    return header, rows
+
+
+class TestLoadProfilesCellByCell:
+    """Every cell is judged as longhand_profiles judges it: the same profile, or the same first error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(profile_tables())
+    def test_any_table_agrees_with_the_oracle(self, table):
+        assert_profiles_agree_with_oracle(*table)
+
+    @pytest.mark.parametrize("cell", PROFILE_EDGE_CELLS)
+    @pytest.mark.parametrize("header, column", [(COUNT_HEADER, c) for c in COUNT_HEADER[1:]] + [(RATIO_HEADER, c) for c in RATIO_HEADER[1:]])
+    def test_each_edge_cell_in_each_column(self, header, column, cell):
+        good = {"macs": "1000", "weights": "40", "activations": "60", "mc_over_w": "25", "mc_over_a": "12.5"}
+        rows = [[name if name == "model" else good[name] for name in header] for _ in range(2)]
+        rows[0][0], rows[1][0] = "a", "b"
+        rows[1][header.index(column)] = cell
+        assert_profiles_agree_with_oracle(header, rows)
+
+    @pytest.mark.parametrize("row, accepted", [
+        (["x", "1e200", "1e200", "5"], False),  # the product of the ratios overflows
+        (["x", "1e-200", "1e-200", "5"], True),  # the product underflows to 0, which is a count
+        (["x", "25", "12.5", ""], True),  # a blank forward-pass count is None
+        (["x", "25", "12.5", " "], False),  # a blank cell is empty, not trimmed
+    ])
+    def test_ratio_form_products_and_forward_counts(self, row, accepted):
+        assert (longhand_profiles(RATIO_HEADER, [row])[1] is None) is accepted
+        assert_profiles_agree_with_oracle(RATIO_HEADER, [row])
 
 
 class TestPeakConcurrent:

@@ -7,9 +7,10 @@ back as a result or end in another exception.
 
 import math
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from dnnreuse.errors import InputError, integer, positive
 from dnnreuse.graph import ModelSyntaxError
@@ -118,3 +119,38 @@ class TestPositiveRule:
     def test_refuses_with_its_message(self, value, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             positive(value, "x")
+
+
+FLOAT_MAX = sys.float_info.max
+COUNTS = st.floats(min_value=0.0, max_value=FLOAT_MAX) | st.sampled_from([1e308, FLOAT_MAX, 5e-324])
+
+
+class TestProfileCounts:
+    @pytest.mark.parametrize("counts, message", [
+        ((True, 1, 1), "macs must be a finite number, got True"),
+        ((1.0, "2", 1.0), "weights must be a finite number, got '2'"),
+        ((-1.0, math.nan, 1.0), "weights must be a finite number, got nan"),
+        ((1, 1, 10**400), "activations must be a finite number, got 1000"),
+        ((1.0, 1.0, -math.inf), "activations must be a finite number, got -inf"),
+        ((-1.0, 1.0, 1.0), "profile counts must be non-negative"),
+        ((1.0, -5e-324, 1.0), "profile counts must be non-negative"),
+    ])
+    def test_a_refused_count_names_the_first_that_fails(self, counts, message):
+        with pytest.raises(InputError, match=f"^{message}"):
+            NetworkProfile(*counts)
+
+    def test_ai_c_of_counts_whose_sum_leaves_float_range(self):
+        assert NetworkProfile(1e308, 1e308, 1e308).ai_c == 0.5
+        assert NetworkProfile(FLOAT_MAX, FLOAT_MAX, FLOAT_MAX).ai_c == 0.5
+        assert NetworkProfile(10**308, 10**308, 1e308).ai_c == 0.5  # an int and a float
+
+    @given(COUNTS, COUNTS, COUNTS)
+    def test_ai_c_is_the_quotient_of_the_counts(self, macs, weights, activations):
+        assume(weights + activations > 0)
+        exact = Fraction(macs) / (Fraction(weights) + Fraction(activations))
+        assume(exact <= FLOAT_MAX)  # a quotient beyond float range is inf either way
+        ai_c = NetworkProfile(macs, weights, activations).ai_c
+        if weights + activations <= FLOAT_MAX:
+            assert ai_c.hex() == (macs / (weights + activations)).hex()
+        # within two roundings of the exact quotient, or below the normal range
+        assert math.isclose(ai_c, float(exact), rel_tol=4.5e-16, abs_tol=2.3e-308)

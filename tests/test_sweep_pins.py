@@ -13,18 +13,19 @@ sweep was restructured, so every r_p and r_s must stay the same float.
 
 from __future__ import annotations
 
+import math
 import pathlib
 import random
 
 from click.testing import CliRunner
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dnnreuse.cli import main
 from dnnreuse.measure import MEASUREMENT_COLUMNS
-from dnnreuse.metrics import intensity_at
+from dnnreuse.metrics import _intensities
 from dnnreuse.netprofile import load_profiles
-from dnnreuse.stats import _average_ranks, alpha_grid
-from tests.oracles import tie_averaged_ranks
+from dnnreuse.stats import _average_ranks, _unit_deviations, alpha_grid
+from tests.oracles import longhand_unit_deviations, tie_averaged_ranks
 
 PINS = pathlib.Path(__file__).resolve().parent / "pins"
 
@@ -85,10 +86,46 @@ def test_the_untied_population_never_ties_on_di():
     profiles, _ = untied_population()
     pairs = [(p.activation_reuse, p.weight_reuse) for p, _ in load_profiles(profiles).values()]
     for alpha in alpha_grid(0.01):
-        dis = [intensity_at(alpha)(*pair) for pair in pairs]
+        dis = _intensities(alpha, *zip(*pairs))
         assert len(set(dis)) == len(dis), alpha
 
 
 @given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 1e300, 7.25]), min_size=1, max_size=40))
 def test_average_ranks_match_the_tie_averaging_oracle(values):
     assert _average_ranks(values) == tie_averaged_ranks(values)
+
+
+TINY = 5e-324
+# finite series with subnormals, values at the ends of float range, near-ties and ints
+SERIES_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([TINY, -TINY, 2 * TINY, 1e308, -1e308, 1.7976931348623157e308, 0.0, -0.0, 1.0, 1.0000000000000002]),
+    st.integers(-(2**60), 2**60),
+)
+
+
+@st.composite
+def varying_series(draw):
+    """A series of at least two distinct values; near-ties come from repeating a value one ulp away."""
+    values = draw(st.lists(SERIES_VALUES, min_size=1, max_size=30))
+    if draw(st.booleans()):
+        near = (math.nextafter(values[0], math.inf), math.nextafter(values[0], -math.inf))
+        values += [v for v in near if math.isfinite(v)]
+    values.append(draw(SERIES_VALUES.filter(lambda v: v != values[0])))
+    return draw(st.permutations(values))
+
+
+@settings(max_examples=500, deadline=None)
+@given(varying_series())
+def test_unit_deviations_match_the_three_pass_longhand_to_the_bit(values):
+    assert list(map(float.hex, _unit_deviations(values))) == list(map(float.hex, longhand_unit_deviations(values)))
+
+
+REUSE = st.floats(min_value=0.0, max_value=1e300) | st.sampled_from([TINY, 1e308, 1.7976931348623157e308])
+
+
+@given(st.sampled_from(alpha_grid(0.05) + [0.3333333333333333, 1e-300]), st.lists(st.tuples(REUSE, REUSE), max_size=30))
+def test_the_di_series_is_the_definition_element_by_element(alpha, pairs):
+    expected = [(alpha * activation_reuse + (1 - alpha) * weight_reuse) / 4 for activation_reuse, weight_reuse in pairs]
+    got = _intensities(alpha, [a for a, _ in pairs], [w for _, w in pairs])
+    assert list(map(float.hex, got)) == list(map(float.hex, expected))
