@@ -19,10 +19,9 @@ from .graph import (
     TensorShape,
     UnknownKindError,
     parse_model,
-    serialize_model,
     topo_order,
 )
-from .layercost import LayerCost, closed_form_ai, layer_cost
+from .layercost import LayerCost, layer_cost
 from .measure import (
     MeasurementRecord,
     energy_efficiency,

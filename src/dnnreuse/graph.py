@@ -32,8 +32,6 @@ import heapq
 import reprlib
 from dataclasses import dataclass, field
 
-import yaml
-
 from . import layercost
 from .document import load_document
 from .errors import _FLOAT_MAX, InputError, integer, sorted_keys
@@ -270,29 +268,6 @@ def parse_model(text: str, name: str | None = None) -> ModelGraph:
         input_shape=input_shape,
         layers=tuple(_parse_layer(raw, i) for i, raw in enumerate(raw_layers)),
     )
-
-
-def serialize_model(graph: ModelGraph) -> str:
-    """Render a graph back to document text; parse(serialize(g)) == g."""
-    layers = []
-    for spec in graph.layers:
-        entry = {"name": spec.name, "kind": spec.kind}
-        if spec.inputs:
-            entry["inputs"] = list(spec.inputs)
-        entry.update(spec.params)
-        if spec.kind in IN_PLACE_KINDS:
-            entry["in_place"] = spec.in_place
-        layers.append(entry)
-    doc = {
-        "name": graph.name,
-        "input": {
-            "channels": graph.input_shape.channels,
-            "h": graph.input_shape.height,
-            "w": graph.input_shape.width,
-        },
-        "layers": layers,
-    }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
 def topo_order(layers) -> list[LayerSpec]:

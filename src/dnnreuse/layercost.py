@@ -13,16 +13,11 @@ shapes a conv layer, before the layer is costed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InputError, integer
-
 if TYPE_CHECKING:  # graph imports this module to cost each layer it shapes
     from .graph import LayerSpec, TensorShape
-
-CONV_FAMILIES = ("standard", "pointwise", "group", "depthwise")
 
 
 @dataclass(frozen=True)
@@ -60,45 +55,3 @@ def layer_cost(spec: LayerSpec, in_shapes, out_shape: TensorShape) -> LayerCost:
         weights = 2 * out_shape.channels if kind == "batchnorm" else 0
     activations = 0 if spec.in_place else sum(s.element_count() for s in in_shapes) + out_shape.element_count()
     return LayerCost(macs, weights, activations)
-
-
-def closed_form_ai(family: str, m: int, n: int, s_k: int, s_o: int, g: int = 1) -> dict:
-    """Square-symbol closed forms for reuse and arithmetic intensity.
-
-    Assumes square kernels and feature maps with ifmap and ofmap of
-    equal spatial size s_o (stride 1, same padding). Weight reuse is
-    s_o**2 for every family; activation reuse and intensity are family
-    specific. Sizes whose forms leave float range on the way are refused.
-    """
-    if family not in CONV_FAMILIES:
-        raise InputError(f"unknown convolution family {family!r}")
-    for value, what in zip((m, n, s_k, s_o, g), ("m", "n", "s_k", "s_o", "g")):
-        integer(value, what)
-    if family == "standard" and g != 1:
-        raise InputError("standard convolution has g = 1")
-    if family == "pointwise" and (s_k != 1 or g != 1):
-        raise InputError("pointwise convolution has s_k = 1 and g = 1")
-    if family == "group" and (m % g or n % g):
-        raise InputError(f"groups {g} must divide m = {m} and n = {n}")
-    if family == "depthwise" and not (m == n == g):
-        raise InputError("depthwise convolution requires m = n = g")
-
-    try:
-        weight_reuse = float(s_o * s_o)
-        if family == "standard":
-            activation_reuse = m * n / (m + n) * s_k * s_k
-            ai = m * n * s_k**2 * s_o**2 / (m * n * s_k**2 + (m + n) * s_o**2)
-        elif family == "pointwise":
-            activation_reuse = m * n / (m + n)
-            ai = m * n * s_o**2 / (m * n + (m + n) * s_o**2)
-        elif family == "group":
-            activation_reuse = m * n / (m + n) * s_k * s_k / g
-            ai = (m / g) * n * s_k**2 * s_o**2 / ((m / g) * n * s_k**2 + (m + n) * s_o**2)
-        else:
-            activation_reuse = s_k * s_k / 2
-            ai = m * s_k**2 * s_o**2 / (m * s_k**2 + 2 * m * s_o**2)
-        if all(map(math.isfinite, (ai, weight_reuse, activation_reuse))):  # a float product past float max is inf, inf / inf NaN
-            return {"ai": ai, "weight_reuse": weight_reuse, "activation_reuse": activation_reuse}
-    except OverflowError:  # an int too large to convert to a float
-        pass
-    raise InputError(f"closed forms of this {family} convolution leave float range")

@@ -51,8 +51,12 @@ class NetworkProfile:
         if not accepted or bool in (macs.__class__, weights.__class__, activations.__class__):
             if min(finite(macs, "macs"), finite(weights, "weights"), finite(activations, "activations")) < 0:
                 raise InputError("profile counts must be non-negative")
-        if weights + activations <= 0:
-            raise DegenerateDataError("network has no weights or activations")
+        if weights < 1 or activations < 1:  # only a divisor below 1 takes a quotient of counts in range past float max
+            if weights + activations <= 0:
+                raise DegenerateDataError("network has no weights or activations")
+            for count, what in ((weights, "weights"), (activations, "activations")):
+                if count and macs / count == math.inf:  # then AI_c, macs / (weights + activations), is no larger
+                    raise InputError(f"macs / {what} leaves float range: {macs} / {count}")
 
     @property
     def ai_c(self) -> float:
@@ -152,11 +156,11 @@ def load_profiles(text: str) -> dict[str, tuple[NetworkProfile, float | None]]:
                     and 0 < first * second <= _FLOAT_MAX
                     and (macs is None or 0 <= macs <= _FLOAT_MAX)
                 )
+            if accepted:  # NetworkProfile refuses a reuse quotient beyond float range, which _cell_by_cell then names
+                profiles[model] = (NetworkProfile(macs, first, second) if count_form else NetworkProfile.from_reuse(first, second)), macs
+                continue
         except ValueError:
-            accepted = False
-        if accepted:
-            profiles[model] = (NetworkProfile(macs, first, second) if count_form else NetworkProfile.from_reuse(first, second)), macs
-            continue
+            pass
         try:
             profiles[model] = _cell_by_cell(fields, column, count_form)
         except DegenerateDataError as exc:  # a ValueError too, but the row is well formed

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import reprlib
 import sys
+from fractions import Fraction
 
 import yaml
 
@@ -31,6 +32,34 @@ def brute_force_conv(m, n, kh, kw, ih, iw, oh, ow, g):
                             macs += 1
     activations = m * ih * iw + n * oh * ow
     return macs, weights, activations
+
+
+def closed_form_reuse(family, m, n, s_k, s_o, g=1):
+    """{"ai", "weight_reuse", "activation_reuse"} of a convolution family, from its square-symbol closed forms.
+
+    The kernel is s_k x s_k, and the ifmap and ofmap are both s_o x s_o
+    (stride 1, same padding), with m input and n output channels in g
+    groups. Weight reuse is s_o**2 for every family; activation reuse and
+    intensity are written out per family in these symbols alone.
+    """
+    assert family in ("standard", "pointwise", "group", "depthwise"), family
+    assert family != "standard" or g == 1, "standard convolution has g = 1"
+    assert family != "pointwise" or (s_k, g) == (1, 1), "pointwise convolution has s_k = 1 and g = 1"
+    assert family != "group" or (m % g == 0 and n % g == 0), "groups must divide m and n"
+    assert family != "depthwise" or m == n == g, "depthwise convolution has m = n = g"
+    if family == "standard":
+        activation_reuse = m * n / (m + n) * s_k * s_k
+        ai = m * n * s_k**2 * s_o**2 / (m * n * s_k**2 + (m + n) * s_o**2)
+    elif family == "pointwise":
+        activation_reuse = m * n / (m + n)
+        ai = m * n * s_o**2 / (m * n + (m + n) * s_o**2)
+    elif family == "group":
+        activation_reuse = m * n / (m + n) * s_k * s_k / g
+        ai = (m / g) * n * s_k**2 * s_o**2 / ((m / g) * n * s_k**2 + (m + n) * s_o**2)
+    else:
+        activation_reuse = s_k * s_k / 2
+        ai = m * s_k**2 * s_o**2 / (m * s_k**2 + 2 * m * s_o**2)
+    return {"ai": ai, "weight_reuse": float(s_o * s_o), "activation_reuse": activation_reuse}
 
 
 def longhand_layer_costs(text):
@@ -281,6 +310,8 @@ def longhand_profiles(header, rows):
       (mc_over_w * mc_over_a, mc_over_a, mc_over_w), and the product must
       be finite. A macs column, if any, holds the forward-pass count:
       None when the cell is empty (not trimmed), else a number not below 0.
+    - Either form, once the counts are known: macs / weights, then macs /
+      activations, where that count is above 0, must round to a float.
     """
     at = {name: i for i, name in enumerate(header)}
     count_form = all(name in at for name in ("macs", "weights", "activations"))
@@ -294,6 +325,16 @@ def longhand_profiles(header, rows):
 
         def bad(reason):
             return None, (2, f"row {number}: bad value for {model!r}: {reason}")
+
+        def quotient_refusal(macs, weights, activations):
+            """bad(...) for the first exact quotient of macs by a count above 0 that float() cannot round, else None."""
+            for count, what in ((weights, "weights"), (activations, "activations")):
+                if count > 0:
+                    try:
+                        float(Fraction(macs) / Fraction(count))
+                    except OverflowError:
+                        return bad(f"macs / {what} leaves float range: {macs} / {count}")
+            return None
 
         values = {}
         for column in ("macs", "weights", "activations") if count_form else ("mc_over_w", "mc_over_a"):
@@ -309,6 +350,9 @@ def longhand_profiles(header, rows):
                 return bad("profile counts must be non-negative")
             if counts[1] + counts[2] <= 0:
                 return None, (3, f"{model}: network has no weights or activations")
+            refusal = quotient_refusal(*counts)
+            if refusal:
+                return refusal
             profiles[model] = (counts, counts[0])
             continue
         weight_reuse, activation_reuse = values["mc_over_w"], values["mc_over_a"]
@@ -317,6 +361,9 @@ def longhand_profiles(header, rows):
         product = weight_reuse * activation_reuse
         if not math.isfinite(product):
             return bad(f"macs must be a finite number, got {reprlib.repr(product)}")
+        refusal = quotient_refusal(product, activation_reuse, weight_reuse)
+        if refusal:
+            return refusal
         forward = None
         if "macs" in at and fields[at["macs"]] != "":
             try:

@@ -540,6 +540,12 @@ REFUSALS = {
         ["roofline", "--hw", P100, "--profiles", "{profiles}"],
         {"profiles": "model,macs,weights,activations\n,100,4,6\n"}, 2, "{profiles}: row 2: empty model name",
     ),
+    # a reuse quotient beyond float range, once placed as an intensity of inf that the row never held
+    "profiles-quotient-beyond-float-range": (
+        ["roofline", "--hw", P100, "--profiles", "{profiles}"],
+        {"profiles": "model,macs,weights,activations\nx,1e308,0,1e-10\n"},
+        2, "{profiles}: row 2: bad value for 'x': macs / activations leaves float range: 1e+308 / 1e-10",
+    ),
 }
 
 

@@ -28,7 +28,6 @@ from dnnreuse.graph import (
     UnknownKindError,
     infer_shapes,
     parse_model,
-    serialize_model,
     topo_order,
 )
 from dnnreuse.layercost import LayerCost
@@ -560,26 +559,6 @@ class TestBuilder:
         assert outcome(text) == pyyaml_outcome(text, monkeypatch)
 
 
-class TestRoundTrip:
-    def test_serialize_parse_identity(self):
-        g = parse_model(SMALLEST)
-        assert parse_model(serialize_model(g)) == g
-
-    def test_round_trip_preserves_in_place_and_params(self):
-        text = """
-name: tiny
-input: {channels: 2, h: 6, w: 6}
-layers:
-  - {name: data, kind: input}
-  - {name: c, kind: conv, inputs: [data], out_channels: 4, kernel_h: 3, kernel_w: 3, stride_h: 2, stride_w: 2, pad_h: 1, pad_w: 1, groups: 2}
-  - {name: bn, kind: batchnorm, inputs: [c], in_place: false}
-  - {name: p, kind: pool, inputs: [bn], kernel_h: 2, kernel_w: 2, stride_h: 2, stride_w: 2}
-  - {name: f, kind: fc, inputs: [p], out_features: 10}
-"""
-        g = parse_model(text)
-        assert parse_model(serialize_model(g)) == g
-
-
 class TestInferShapes:
     def make(self, body, channels=3, h=224, w=224):
         text = f"input: {{channels: {channels}, h: {h}, w: {w}}}\nlayers:\n  - {{name: data, kind: input}}\n{body}"
@@ -744,7 +723,3 @@ def test_topo_order_breaks_ties_as_the_longhand_scheduler(layers):
     graph = ModelGraph(name="random", input_shape=TensorShape(1, 4, 4), layers=layers)
     assert topo_order(graph.layers) == longhand_topo_order(graph.layers) == list(graph.layers)
 
-
-@given(random_dags())
-def test_serialize_parse_round_trip_on_random_graphs(graph):
-    assert parse_model(serialize_model(graph)) == graph

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnnreuse.errors import InputError
 from dnnreuse.graph import LAYER_KINDS, LayerSpec, TensorShape, parse_model
-from dnnreuse.layercost import LayerCost, closed_form_ai, layer_cost
+from dnnreuse.layercost import LayerCost, layer_cost
 
-from oracles import brute_force_conv, longhand_layer_costs
+from oracles import brute_force_conv, closed_form_reuse, longhand_layer_costs
 
 
 def make_conv(out_channels, kernel, stride=1, pad=0, groups=1):
@@ -35,6 +35,10 @@ def make_conv(out_channels, kernel, stride=1, pad=0, groups=1):
 def square_conv_cost(m, n, s_k, s_o, g=1):
     """Cost with ifmap and ofmap both s_o x s_o (stride 1, same padding)."""
     return layer_cost(make_conv(n, s_k, groups=g), [TensorShape(m, s_o, s_o)], TensorShape(n, s_o, s_o))
+
+
+def counted_ai(cost: LayerCost) -> float:
+    return cost.macs / (cost.weights + cost.activations)
 
 
 def fc_cost(in_shape, out_features):
@@ -190,28 +194,69 @@ def test_every_fixture_layer_costs_as_counted_longhand(model_dir):
     assert kinds == set(LAYER_KINDS)
 
 
+def conv_family(spec: LayerSpec, in_channels: int) -> str:
+    """pointwise or standard with groups 1 (by kernel), depthwise with groups = in = out channels, else group."""
+    p = spec.params
+    if p["groups"] == 1:
+        return "pointwise" if p["kernel_h"] == p["kernel_w"] == 1 else "standard"
+    return "depthwise" if p["groups"] == in_channels == p["out_channels"] else "group"
+
+
+def test_every_eligible_fixture_conv_meets_its_family_closed_forms(model_dir):
+    # eligible: a square kernel over a square map that keeps its spatial size, the closed forms' assumptions
+    census, eligible = Counter(), Counter()
+    for path in sorted(model_dir.glob("*.yaml")):
+        graph = parse_model(path.read_text())
+        for spec in graph.layers:
+            if spec.kind != "conv":
+                continue
+            p, ifmap, ofmap = spec.params, graph.shapes[spec.inputs[0]], graph.shapes[spec.name]
+            family = conv_family(spec, ifmap.channels)
+            census[family] += 1
+            s_k, s_o = p["kernel_h"], ofmap.height
+            if not (p["kernel_w"] == s_k and ifmap.height == ifmap.width == ofmap.width == s_o):
+                continue
+            eligible[family] += 1
+            cost = graph.costs[spec.name]
+            counted = {
+                "ai": counted_ai(cost), "weight_reuse": cost.macs / cost.weights, "activation_reuse": cost.macs / cost.activations
+            }
+            closed = closed_form_reuse(family, ifmap.channels, ofmap.channels, s_k, s_o, p["groups"])
+            for ratio, value in closed.items():
+                assert abs(counted[ratio] - value) <= 1e-12 * value, (path.name, spec.name, ratio, counted[ratio], value)
+    assert census == {"pointwise": 1279, "standard": 755, "group": 94, "depthwise": 64}
+    assert eligible == {"pointwise": 1227, "standard": 458, "depthwise": 56, "group": 46}
+
+
+# the families of the paper's comparison at m = n = 256, s_o = 28: (family, s_k, g)
+FAMILIES_AT_256 = {"standard": (3, 1), "pointwise": (1, 1), "group": (3, 4), "depthwise": (3, 256)}
+
+
+def intensities_at_256():
+    """(closed-form, counted) intensity of each family of FAMILIES_AT_256, by family."""
+    closed = {family: closed_form_reuse(family, 256, 256, s_k, 28, g)["ai"] for family, (s_k, g) in FAMILIES_AT_256.items()}
+    counted = {family: counted_ai(square_conv_cost(256, 256, s_k, 28, g)) for family, (s_k, g) in FAMILIES_AT_256.items()}
+    return closed, counted
+
+
 class TestClosedForms:
     def test_standard_reference_intensity(self):
-        got = closed_form_ai("standard", 256, 256, 3, 28)
+        got = closed_form_reuse("standard", 256, 256, 3, 28)
         assert got["ai"] == pytest.approx(466.5124, abs=0.01)
         assert got["weight_reuse"] == 784
 
     def test_intensity_ratios_match_published_rounding(self):
-        standard = closed_form_ai("standard", 256, 256, 3, 28)["ai"]
-        assert closed_form_ai("pointwise", 256, 256, 1, 28)["ai"] / standard == pytest.approx(0.24, abs=0.01)
-        assert closed_form_ai("group", 256, 256, 3, 28, g=4)["ai"] / standard == pytest.approx(0.45, abs=0.01)
-        assert closed_form_ai("depthwise", 256, 256, 3, 28, g=256)["ai"] / standard == pytest.approx(0.01, abs=0.01)
+        for ai in intensities_at_256():
+            for family, published in (("pointwise", 0.24), ("group", 0.45), ("depthwise", 0.01)):
+                assert ai[family] / ai["standard"] == pytest.approx(published, abs=0.01), family
 
     def test_intensity_ordering_across_families(self):
-        standard = closed_form_ai("standard", 256, 256, 3, 28)["ai"]
-        group = closed_form_ai("group", 256, 256, 3, 28, g=4)["ai"]
-        pointwise = closed_form_ai("pointwise", 256, 256, 1, 28)["ai"]
-        depthwise = closed_form_ai("depthwise", 256, 256, 3, 28, g=256)["ai"]
-        assert standard > group > pointwise > depthwise
+        for ai in intensities_at_256():
+            assert ai["standard"] > ai["group"] > ai["pointwise"] > ai["depthwise"]
 
     def test_depthwise_activation_reuse_is_half_kernel_area(self):
         for m in (3, 17, 256):
-            got = closed_form_ai("depthwise", m, m, 3, 28, g=m)
+            got = closed_form_reuse("depthwise", m, m, 3, 28, g=m)
             assert got["activation_reuse"] == 4.5
 
     @pytest.mark.parametrize(
@@ -221,32 +266,10 @@ class TestClosedForms:
     def test_closed_form_agrees_with_counting(self, family, m, n, s_k, g):
         s_o = 7
         cost = square_conv_cost(m, n, s_k, s_o, g=g)
-        got = closed_form_ai(family, m, n, s_k, s_o, g=g)
-        counted_ai = cost.macs / (cost.weights + cost.activations)
-        assert abs(got["ai"] - counted_ai) <= 1e-12 * counted_ai
+        got = closed_form_reuse(family, m, n, s_k, s_o, g=g)
+        assert abs(got["ai"] - counted_ai(cost)) <= 1e-12 * counted_ai(cost)
         assert got["weight_reuse"] == cost.macs / cost.weights
         assert got["activation_reuse"] == pytest.approx(cost.macs / cost.activations, rel=1e-12)
-
-    def test_family_parameter_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            closed_form_ai("depthwise", 8, 9, 3, 28, g=8)
-        with pytest.raises(InputError):
-            closed_form_ai("pointwise", 8, 8, 3, 28)
-        with pytest.raises(InputError):
-            closed_form_ai("warped", 8, 8, 3, 28)
-
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            (("standard", 8, 16, 3, 28, 2), "standard convolution has g = 1"),
-            (("group", 8, 12, 3, 28, 3), "groups 3 must divide m = 8 and n = 12"),
-            (("standard", 8, 16, 3, 10**200, 1), "closed forms of this standard convolution leave float range"),
-            (("group", 10**300, 10**300, 3, 10**5, 1), "closed forms of this group convolution leave float range"),
-        ],
-    )
-    def test_refusal_names_its_rule(self, args, message):
-        with pytest.raises(InputError, match=f"^{message}$"):
-            closed_form_ai(*args)
 
 
 @settings(max_examples=200, deadline=None)

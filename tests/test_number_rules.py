@@ -6,6 +6,7 @@ back as a result or end in another exception.
 """
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from hypothesis import assume, example, given, strategies as st
 
 from dnnreuse.errors import InputError, integer, positive
 from dnnreuse.graph import ModelSyntaxError
-from dnnreuse.layercost import closed_form_ai
 from dnnreuse.netprofile import NetworkProfile, batch_scale
 from dnnreuse.roofline import HardwareSpec, classify, roofline_points
 from dnnreuse.stats import fisher_ci, fisher_z_width, min_sample_size
@@ -26,8 +26,6 @@ def not_a_count(minimum=1):
     return st.one_of(st.floats(), st.booleans(), st.integers(max_value=minimum - 1), BEYOND_FLOAT)
 
 
-# counts within float range whose square is not
-SQUARE_BEYOND_FLOAT = st.one_of(st.sampled_from([10**200, 10**300]), st.integers(min_value=2**512, max_value=2**1023))
 NOT_POSITIVE = st.one_of(
     st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf, True, False]), st.integers(max_value=0), BEYOND_FLOAT
 )
@@ -36,7 +34,6 @@ NOT_A_CORRELATION = st.one_of(
 )
 
 HW = HardwareSpec("x", 1e12, 1e11)
-CONV = {"m": 8, "n": 16, "s_k": 3, "s_o": 7, "g": 1}
 # (call with the value under test in one parameter, values that parameter refuses)
 REFUSALS = {
     "batch_scale.b": (lambda v: batch_scale(NetworkProfile(1.0, 1.0, 1.0), v), not_a_count()),
@@ -47,13 +44,6 @@ REFUSALS = {
     "min_sample_size.max_z_width": (
         lambda v: min_sample_size(0.95, v), st.one_of(NOT_POSITIVE, st.floats(min_value=5e-324, max_value=2.9e-154))
     ),
-    **{
-        f"closed_form_ai.{name}": (lambda v, name=name: closed_form_ai("standard", **{**CONV, name: v}), not_a_count())
-        for name in CONV
-    },
-    # counts the integer rule takes, in closed forms that leave float range
-    "closed_form_ai.standard.s_o": (lambda v: closed_form_ai("standard", **{**CONV, "s_o": v}), SQUARE_BEYOND_FLOAT),
-    "closed_form_ai.group.m_n": (lambda v: closed_form_ai("group", v, v, 3, 10**5, 1), SQUARE_BEYOND_FLOAT),
     "HardwareSpec.peak_throughput": (lambda v: HardwareSpec("x", v, 1e11), NOT_POSITIVE),
     "HardwareSpec.peak_bandwidth": (lambda v: HardwareSpec("x", 1e12, v), NOT_POSITIVE),
     "classify.intensity": (lambda v: classify(HW, v), NOT_POSITIVE),
@@ -122,6 +112,15 @@ class TestPositiveRule:
 
 
 FLOAT_MAX = sys.float_info.max
+
+
+def rounds_beyond_float_range(quotient: Fraction) -> bool:
+    try:
+        float(quotient)
+    except OverflowError:
+        return True
+    return False
+
 COUNTS = st.floats(min_value=0.0, max_value=FLOAT_MAX) | st.sampled_from([1e308, FLOAT_MAX, 5e-324])
 
 
@@ -134,9 +133,11 @@ class TestProfileCounts:
         ((1.0, 1.0, -math.inf), "activations must be a finite number, got -inf"),
         ((-1.0, 1.0, 1.0), "profile counts must be non-negative"),
         ((1.0, -5e-324, 1.0), "profile counts must be non-negative"),
+        ((1e308, 0, 1e-10), "macs / activations leaves float range: 1e+308 / 1e-10"),
+        ((1.0, 5e-324, 1e308), "macs / weights leaves float range: 1.0 / 5e-324"),
     ])
     def test_a_refused_count_names_the_first_that_fails(self, counts, message):
-        with pytest.raises(InputError, match=f"^{message}"):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}"):
             NetworkProfile(*counts)
 
     def test_ai_c_of_counts_whose_sum_leaves_float_range(self):
@@ -148,7 +149,12 @@ class TestProfileCounts:
     def test_ai_c_is_the_quotient_of_the_counts(self, macs, weights, activations):
         assume(weights + activations > 0)
         exact = Fraction(macs) / (Fraction(weights) + Fraction(activations))
-        assume(exact <= FLOAT_MAX)  # a quotient beyond float range is inf either way
+        if any(count > 0 and rounds_beyond_float_range(Fraction(macs) / Fraction(count)) for count in (weights, activations)):
+            # AI_c's quotient among them or not: a reuse quotient beyond float range is refused, never read as inf
+            with pytest.raises(InputError, match=r"^macs / (weights|activations) leaves float range: "):
+                NetworkProfile(macs, weights, activations)
+            return
+        assert not rounds_beyond_float_range(exact)
         ai_c = NetworkProfile(macs, weights, activations).ai_c
         if weights + activations <= FLOAT_MAX:
             assert ai_c.hex() == (macs / (weights + activations)).hex()

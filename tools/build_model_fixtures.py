@@ -19,11 +19,36 @@ import csv
 import pathlib
 import sys
 
+import yaml
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dnnreuse.graph import parse_model, serialize_model
+from dnnreuse.graph import IN_PLACE_KINDS, ModelGraph, parse_model
 from dnnreuse.netprofile import aggregate
+
+
+def serialize_model(graph: ModelGraph) -> str:
+    """Render a graph back to document text; parse(serialize(g)) == g."""
+    layers = []
+    for spec in graph.layers:
+        entry = {"name": spec.name, "kind": spec.kind}
+        if spec.inputs:
+            entry["inputs"] = list(spec.inputs)
+        entry.update(spec.params)
+        if spec.kind in IN_PLACE_KINDS:
+            entry["in_place"] = spec.in_place
+        layers.append(entry)
+    doc = {
+        "name": graph.name,
+        "input": {
+            "channels": graph.input_shape.channels,
+            "h": graph.input_shape.height,
+            "w": graph.input_shape.width,
+        },
+        "layers": layers,
+    }
+    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
 class Builder:
@@ -902,10 +927,8 @@ def main():
     print(f"{'model':24} {'macs':>12} {'weights':>10} {'acts':>10} "
           f"{'rw':>8} {'ref':>8} {'d%':>6}  {'ra':>8} {'ref':>8} {'d%':>6}")
     for name in names:
-        import yaml as _yaml
-
         doc = BUILDERS[name]().doc()
-        text = _yaml.safe_dump(doc, sort_keys=False)
+        text = yaml.safe_dump(doc, sort_keys=False)
         graph = parse_model(text)
         out = serialize_model(graph)
         (outdir / f"{name}.yaml").write_text(out)
