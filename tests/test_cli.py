@@ -546,6 +546,11 @@ REFUSALS = {
         {"profiles": "model,macs,weights,activations\nx,1e308,0,1e-10\n"},
         2, "{profiles}: row 2: bad value for 'x': macs / activations leaves float range: 1e+308 / 1e-10",
     ),
+    "profiles-weights-quotient-beyond-float-range": (
+        ["roofline", "--hw", P100, "--profiles", "{profiles}"],
+        {"profiles": "model,macs,weights,activations\nx,1e308,1e-10,0\n"},
+        2, "{profiles}: row 2: bad value for 'x': macs / weights leaves float range: 1e+308 / 1e-10",
+    ),
 }
 
 

@@ -135,10 +135,22 @@ class TestProfileCounts:
         ((1.0, -5e-324, 1.0), "profile counts must be non-negative"),
         ((1e308, 0, 1e-10), "macs / activations leaves float range: 1e+308 / 1e-10"),
         ((1.0, 5e-324, 1e308), "macs / weights leaves float range: 1.0 / 5e-324"),
+        ((FLOAT_MAX, 0.5, 0.0), "macs / weights leaves float range: 1.7976931348623157e+308 / 0.5"),
+        ((FLOAT_MAX, 0.5, 0.5), "macs / weights leaves float range: 1.7976931348623157e+308 / 0.5"),
     ])
     def test_a_refused_count_names_the_first_that_fails(self, counts, message):
         with pytest.raises(InputError, match=f"^{re.escape(message)}"):
             NetworkProfile(*counts)
+
+    def test_reuse_quotients_of_exactly_float_max_are_taken(self):
+        p = NetworkProfile(FLOAT_MAX / 2, 0.5, 0.5)
+        assert p.weight_reuse == p.activation_reuse == FLOAT_MAX
+        assert p.ai_c == FLOAT_MAX / 2
+
+    def test_a_batch_that_takes_a_reuse_quotient_beyond_float_range_is_refused(self):
+        # 1e300 / 0.5 is in range; at batch 10**8 macs is 1e308, and 1e308 / 0.5 is not
+        with pytest.raises(InputError, match=r"^macs / weights leaves float range: 1e\+308 / 0\.5$"):
+            batch_scale(NetworkProfile(1e300, 0.5, 1.0), 10**8)
 
     def test_ai_c_of_counts_whose_sum_leaves_float_range(self):
         assert NetworkProfile(1e308, 1e308, 1e308).ai_c == 0.5
