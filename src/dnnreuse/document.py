@@ -8,19 +8,19 @@ and keeps YAML's error positions. YAML goes through libyaml
 pure-Python yaml.SafeLoader when it was not. Both report a syntax error
 at the same line and column; only the wording of the problem differs.
 
-The loader parses; the data is built here, straight from its events,
-without PyYAML's node tree. PyYAML's composer and constructor call back
-into Python several times per node, and those calls took most of the
-load time. A plain scalar is typed by the loader's own resolver and
-constructor, once per distinct text in a document. Whatever this
-builder does not handle the way PyYAML does goes back to PyYAML whole:
-it stops, and the text is loaded again with yaml.load, at a document
-that has an anchor or an alias, an explicit tag on a collection, a
-scalar tag without a constructor (as the merge key `<<` and the value
-key `=` have), a collection as a key, a scalar whose constructor
-raises, no document or a second document. So every result and every
-error is PyYAML's; a constructor's error still comes only after the
-whole document has been parsed. No bundled document takes that path.
+The loader parses; the data is built here, in one loop over its events,
+without PyYAML's node tree, whose composer and constructor call back into
+Python several times per node. A plain scalar is typed by the loader's own
+resolver and constructor, once per distinct text in a document; after
+that it costs one lookup and one append. Whatever this builder does not
+handle the way PyYAML does goes back to PyYAML whole: it stops, and the
+text is loaded again with yaml.load, at a document that has an anchor or
+an alias, an explicit tag on a collection, a scalar tag without a
+constructor (as the merge key `<<` and the value key `=` have), a
+collection as a key, a scalar whose constructor raises, no document or a
+second document. So every result and every error is PyYAML's; a
+constructor's error still comes only after the whole document has been
+parsed. No bundled document takes that path.
 
 JSON and YAML 1.1 read one number form differently: an unquoted `1e3`
 is the float 1000.0 in JSON and the string '1e3' in YAML 1.1, which
@@ -35,7 +35,7 @@ import json
 from types import GeneratorType
 
 import yaml
-from yaml.events import CollectionEndEvent, MappingStartEvent, ScalarEvent, StreamEndEvent
+from yaml.events import DocumentEndEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, SequenceEndEvent, StreamEndEvent
 from yaml.nodes import ScalarNode
 
 from .errors import InputError
@@ -45,8 +45,6 @@ from .errors import InputError
 # nested some tens of thousands of levels overflows the stack and kills
 # the process instead of raising; this limit stops both loaders far short.
 MAX_DEPTH = 100
-
-_STR_TAG = "tag:yaml.org,2002:str"
 
 
 class _DepthLimited:
@@ -90,70 +88,71 @@ class _Defer(Exception):
 def _build(loader):
     """The data of the one document in the loader's event stream.
 
-    Raises _Defer where the result or the error is left to yaml.load,
-    RecursionError at the first node deeper than MAX_DEPTH (the node
-    _DepthLimited stops at), and the loader's own error for a text that
-    does not parse.
+    One loop dispatches on each event's class. An open collection is a
+    flat list of its items (a mapping's read key, value, key, ...), put in
+    its parent's list as itself or as a dict when it closes. Raises _Defer
+    where the result or the error is left to yaml.load, RecursionError at
+    the first node deeper than MAX_DEPTH (the node _DepthLimited stops
+    at), and the loader's own error for a text that does not parse.
     """
     get_event = loader.get_event
-    resolve = loader.resolve
-    constructors = loader.yaml_constructors
-    plain = {}  # (text, implicit) -> value, for the scalars without an explicit tag
-    stack = []  # the open collections, innermost last
+    plain = {}  # implicit -> {text: value}, for the scalars without an explicit tag
+    stack = []  # (items, mapping) of each open collection but the innermost, outermost first
 
     def construct(tag, event):
-        if tag == _STR_TAG:
+        if tag == "tag:yaml.org,2002:str":
             return event.value
         try:
-            value = constructors[tag](loader, ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style))
+            value = loader.yaml_constructors[tag](loader, ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style))
         except Exception:  # no constructor, or one that fails: yaml.load fails too, once all is composed
             raise _Defer from None
         if isinstance(value, GeneratorType):  # a collection's constructor, which refuses a scalar later
             raise _Defer
         return value
 
-    def node(event):
-        """The value of the node that `event` starts: a scalar's data, or a new collection, open on `stack`."""
-        cls = event.__class__
-        if event.anchor is not None:  # an anchor, or an alias (whose anchor is never None)
-            raise _Defer
-        if len(stack) >= MAX_DEPTH:  # this node would nest MAX_DEPTH + 1 deep
-            raise RecursionError
-        if cls is ScalarEvent:
-            tag = event.tag
-            if tag is not None and tag != "!":
-                return construct(tag, event)
-            key = (event.value, event.implicit)
-            if key not in plain:
-                plain[key] = construct(resolve(ScalarNode, event.value, event.implicit), event)
-            return plain[key]
-        if event.tag is not None:
-            raise _Defer
-        collection = {} if cls is MappingStartEvent else []
-        stack.append(collection)
-        return collection
+    def too_deep(value):  # the append of a collection MAX_DEPTH deep, which can hold no node
+        raise RecursionError
 
     get_event()  # StreamStartEvent
     if loader.check_event(StreamEndEvent):  # no document
         raise _Defer
     get_event()  # DocumentStartEvent
-    root = node(get_event())
-    while stack:
-        top = stack[-1]
+    items, mapping = [], False  # the innermost open collection's items; outermost, the root node
+    append = items.append
+    while True:
         event = get_event()
-        if isinstance(event, CollectionEndEvent):
-            stack.pop()
-        elif top.__class__ is list:
-            top.append(node(event))
-        elif event.__class__ is ScalarEvent:
-            key = node(event)
-            top[key] = node(get_event())
-        else:  # a collection or an alias as a key
+        cls = event.__class__
+        if cls is ScalarEvent and event.anchor is None and (event.tag is None or event.tag == "!"):  # typed by its text
+            try:
+                append(plain[event.implicit][event.value])
+            except KeyError:  # a text new to the document
+                if len(stack) >= MAX_DEPTH:
+                    raise RecursionError from None
+                texts = plain.setdefault(event.implicit, {})
+                texts[event.value] = construct(loader.resolve(ScalarNode, event.value, event.implicit), event)
+                append(texts[event.value])
+        elif cls is SequenceEndEvent or cls is MappingEndEvent:
+            value = dict(zip(pairs := iter(items), pairs)) if mapping else items
+            items, mapping = stack.pop()
+            append = items.append
+            append(value)
+        elif cls is DocumentEndEvent:
+            break
+        elif event.anchor is not None or cls is not ScalarEvent and mapping and not len(items) % 2:
+            raise _Defer  # an anchor, an alias (whose anchor is never None), or a collection as a key
+        elif len(stack) >= MAX_DEPTH:  # this node would nest MAX_DEPTH + 1 deep
+            raise RecursionError
+        elif cls is ScalarEvent:  # an explicit tag
+            append(construct(event.tag, event))
+        elif event.tag is not None:
             raise _Defer
-    get_event()  # DocumentEndEvent
+        else:  # a collection opens
+            stack.append((items, mapping))
+            items, mapping = [], cls is MappingStartEvent
+            append = items.append if len(stack) < MAX_DEPTH else too_deep
     if not loader.check_event(StreamEndEvent):  # a second document
         raise _Defer
-    return root
+    return items[0]
 
 
 def load_document(text: str, error: type[Exception]):

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
+from yaml.events import ScalarEvent
 
 from dnnreuse import document
 from dnnreuse.graph import (
@@ -532,8 +533,68 @@ def pyyaml_outcome(text, monkeypatch):
         return outcome(text)
 
 
+def at_depth(node: str, depth: int, form: int, first: str | None = None) -> str:
+    """A document whose innermost node, `node`, nests `depth` deep: in flow sequences, flow mappings or block sequences.
+
+    With `first`, the root collection holds that node before the chain down to `node`.
+    """
+    k = depth - 1 - (first is not None)
+    inner = ["[" * k + node + "]" * k, "{a: " * k + node + "}" * k, "- " * k + node][form]
+    if first is None:
+        return inner
+    return [f"[{first}, {inner}]", f"{{b: {first}, a: {inner}}}", f"- {first}\n- {inner}"][form]
+
+
+# (innermost node, the root's first node): with a first `x`, a plain `x` or `! x` at the limit is a text the
+# document has had before; an alias's anchor is the root's first node, at depth 2, and `*b` has none
+LIMIT_NODES = [
+    (node, first) for node in ["x", "&a x", "!!int 7", "! x", "!!seq []", "[]", "{}"] for first in (None, "x")
+] + [("*a", "&a x"), ("*b", None)]
+
+
 class TestBuilder:
     """The builder returns what yaml.load returns and raises what it raises, under either loader."""
+
+    @pytest.mark.parametrize("form", range(3))
+    @pytest.mark.parametrize("node, first", LIMIT_NODES)
+    def test_check_order_at_the_nesting_limit(self, yaml_loader, monkeypatch, node, first, form):
+        # PyYAML takes an alias before it counts depth, so in a sequence an alias is read, or its missing
+        # anchor reported, one level deeper than any other node; in a mapping (form 1) its key is as deep
+        deepest = at_depth(node, document.MAX_DEPTH, form, first)
+        deeper = at_depth(node, document.MAX_DEPTH + 1, form, first)
+        assert outcome(deepest) == pyyaml_outcome(deepest, monkeypatch)
+        assert outcome(deeper) == pyyaml_outcome(deeper, monkeypatch)
+        assert isinstance(outcome(deepest), str) == (node != "*b")
+        assert (outcome(deeper) == (ModelSyntaxError, "document nests too deeply")) == (node[0] != "*" or form == 1)
+
+    @pytest.mark.parametrize("node", ["2001-13-45", "!!int abc", "!!seq []"])
+    def test_a_node_too_deep_is_refused_before_it_is_constructed(self, yaml_loader, node):
+        # each would go back to yaml.load, whose composer stops at the same node
+        loader = document._LOADER(at_depth(node, document.MAX_DEPTH + 1, 0))
+        try:
+            with pytest.raises(RecursionError):
+                document._build(loader)
+        finally:
+            loader.dispose()
+
+    def test_a_plain_scalar_is_typed_once_per_distinct_text(self, yaml_loader, monkeypatch, model_dir):
+        # the module docstring's promise, counted on the loader's resolver over every bundled model
+        resolve = document._LOADER.resolve
+        calls = []
+
+        def counted(loader, kind, value, implicit):
+            calls.append((value, implicit))
+            return resolve(loader, kind, value, implicit)
+
+        monkeypatch.setattr(document._LOADER, "resolve", counted)
+        for path in sorted(model_dir.glob("*.yaml")):
+            text = path.read_text()
+            events = yaml.parse(text, Loader=document._LOADER)
+            untagged = {(e.value, e.implicit) for e in events if e.__class__ is ScalarEvent and e.tag is None}
+            calls.clear()
+            document.load_document(text, ModelSyntaxError)
+            assert len(calls) == len(untagged), path.name
+            assert set(calls) == untagged, path.name
 
     def test_every_bundled_document_is_built_without_deferring(self, monkeypatch, model_dir, hardware_dir):
         # what defers is the document's content, which both parsers report alike; libyaml is the faster
