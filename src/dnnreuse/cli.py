@@ -82,7 +82,7 @@ def _load_graph(path: str):
 
 
 def _emit(fmt: str, doc, columns: dict, rows) -> None:
-    """Print `doc` as JSON, or `rows` as CSV under the column map `columns`.
+    """Print `doc` as JSON, or `rows`, a sequence of mappings, as CSV under the column map `columns`.
 
     The CSV header is the map's keys. A cell is its column's format
     applied to the row's value; a string passes through unchanged, and
@@ -94,12 +94,12 @@ def _emit(fmt: str, doc, columns: dict, rows) -> None:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    items = columns.items()
-    # csv.writer prints None as an empty cell
-    writer.writerows(
-        [value if (value := row.get(name)) is None or isinstance(value, str) else form(value) for name, form in items]
-        for row in rows
-    )
+    # each column formatted as a whole, then zipped back into rows; csv.writer prints None as an empty cell
+    cells = [
+        [value if (value := row.get(name)) is None or isinstance(value, str) else form(value) for row in rows]
+        for name, form in columns.items()
+    ]
+    writer.writerows(zip(*cells))
     click.echo(out.getvalue(), nl=False)
 
 

@@ -92,20 +92,30 @@ _PARAM_SCHEMA = {
 }
 LAYER_KINDS = tuple(_PARAM_SCHEMA)
 _FIELDS = {kind: _LAYER_FIELDS.union(schema) for kind, schema in _PARAM_SCHEMA.items()}  # every field a kind's layer may carry
+_NO_PARAMS = object()  # LayerSpec's `params` default, told apart from an explicit None
 
 
 @dataclass(frozen=True)
 class TensorShape:
-    """Channels x height x width extent of one feature-map tensor."""
+    """Channels x height x width extent of one feature-map tensor.
+
+    The constructor fills the instance's fields in one step, then refuses,
+    for every caller, any dimension that is not an int >= 1 (a bool
+    included): three exact ints of at least 1 pass one chained test, and
+    anything else takes the per-dimension check, whose ShapeError names
+    the whole shape.
+    """
 
     channels: int
     height: int
     width: int
 
-    def __post_init__(self):
-        for dim in (self.channels, self.height, self.width):
-            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-                raise ShapeError(f"tensor dimensions must be integers >= 1, got {self!r}")
+    def __init__(self, channels: int, height: int, width: int):
+        self.__dict__.update(channels=channels, height=height, width=width)
+        if not (type(channels) is int and type(height) is int and type(width) is int and channels >= 1 and height >= 1 and width >= 1):
+            for dim in (channels, height, width):
+                if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+                    raise ShapeError(f"tensor dimensions must be integers >= 1, got {self!r}")
 
     def element_count(self) -> int:
         return self.channels * self.height * self.width
@@ -122,6 +132,11 @@ class LayerSpec:
     computes its `shapes` and `costs` from it once, at construction, and
     never reads it again, so a changed dict would leave both stale. To
     change a parameter, build a new spec and a new graph.
+
+    The constructor stores its arguments as they are, in one step, and
+    checks none of them: the graph does (see topo_order). An omitted
+    `params` is a new empty dict; `params=None` is stored as given, and
+    the graph refuses it as it refuses any other non-mapping.
     """
 
     name: str
@@ -129,6 +144,11 @@ class LayerSpec:
     inputs: tuple[str, ...] = ()
     params: dict = field(default_factory=dict)
     in_place: bool = False
+
+    def __init__(self, name: str, kind: str, inputs: tuple[str, ...] = (), params: dict = _NO_PARAMS, in_place: bool = False):
+        if params is _NO_PARAMS:
+            params = {}
+        self.__dict__.update(name=name, kind=kind, inputs=inputs, params=params, in_place=in_place)
 
 
 @dataclass(frozen=True)
@@ -355,7 +375,9 @@ def infer_shapes(layers, input_shape: TensorShape) -> tuple[dict, dict]:
     for spec in layers:
         ins = [*map(shape_of, spec.inputs)]
         kind = spec.kind
-        if kind == "input":
+        if kind == "relu" or kind == "batchnorm":  # the commonest kinds first
+            out = ins[0]
+        elif kind == "input":
             out = input_shape
         elif kind == "conv":
             out = _conv_like_shape(spec, ins[0], spec.params["out_channels"])
@@ -366,8 +388,6 @@ def infer_shapes(layers, input_shape: TensorShape) -> tuple[dict, dict]:
             out = _conv_like_shape(spec, ins[0], ins[0].channels)
         elif kind == "fc":
             out = TensorShape(spec.params["out_features"], 1, 1)
-        elif kind in ("relu", "batchnorm"):
-            out = ins[0]
         elif kind == "add":
             if any(s != ins[0] for s in ins[1:]):
                 raise ShapeError(f"layer {spec.name!r}: add operands disagree: {[tuple((s.channels, s.height, s.width)) for s in ins]}")

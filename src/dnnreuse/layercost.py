@@ -42,8 +42,16 @@ def layer_cost(spec: LayerSpec, in_shapes, out_shape: TensorShape) -> LayerCost:
     weights. Activations are the input plus the output elements, so the
     input layer, which has no inputs, counts its output alone; an
     in-place layer reuses its producer's tensor and counts none.
+
+    The LayerCost is built by filling a new instance's fields in one step,
+    without the generated constructor; it equals, hashes and prints as
+    LayerCost(macs, weights, activations) does.
     """
     kind = spec.kind
+    cost = object.__new__(LayerCost)
+    if spec.in_place:  # relu or batchnorm, the graph has checked
+        cost.__dict__.update(macs=0, weights=2 * out_shape.channels if kind == "batchnorm" else 0, activations=0)
+        return cost
     if kind == "conv":
         p = spec.params
         weights = (in_shapes[0].channels // p["groups"]) * p["kernel_h"] * p["kernel_w"] * p["out_channels"]
@@ -53,5 +61,6 @@ def layer_cost(spec: LayerSpec, in_shapes, out_shape: TensorShape) -> LayerCost:
     else:
         macs = 0
         weights = 2 * out_shape.channels if kind == "batchnorm" else 0
-    activations = 0 if spec.in_place else sum(s.element_count() for s in in_shapes) + out_shape.element_count()
-    return LayerCost(macs, weights, activations)
+    activations = sum(s.element_count() for s in in_shapes) + out_shape.element_count()
+    cost.__dict__.update(macs=macs, weights=weights, activations=activations)
+    return cost

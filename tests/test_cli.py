@@ -13,8 +13,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dnnreuse import layercost
-from dnnreuse.cli import main
+from dnnreuse.cli import COUNT, ENERGY, RATIO, TEXT, _emit, main
 from dnnreuse.graph import parse_model
+from dnnreuse.metrics import CaseTag
 
 from conftest import NEGATIVE, assert_exit_2
 from oracles import longhand_layer_costs
@@ -209,6 +210,33 @@ class TestLayers:
             for fmt in ("csv", "json"):
                 expected = run_ok(runner, [command, str(in_order), "--format", fmt])
                 assert run_ok(runner, [command, str(shuffled), "--format", fmt]) == expected
+
+
+def test_emit_csv_matches_the_row_wise_rendering(capsys):
+    # trailer rows leave columns out; a None cell is empty; a str, a str-subclass enum included, is printed as it is,
+    # whatever its column's format; an int in a RATIO column takes the format
+    columns = {"name": TEXT, "kind": TEXT, "macs": COUNT, "ai": RATIO, "ops": ENERGY}
+    rows = [
+        {"name": "conv1", "kind": "conv", "macs": 1000, "ai": 0.5, "ops": 12345.678},
+        {"name": "relu1", "kind": CaseTag.BALANCED, "macs": 0, "ai": None, "ops": None},
+        {"name": "fc", "kind": "fc", "macs": 10**20, "ai": 3, "ops": 0.0},
+        {"name": "a,b", "ai": "selected_alpha"},
+        {"name": "median", "ai": 2.25},
+        {"kind": CaseTag.ACTIVATIONS_SCARCE, "ops": 7},
+    ]
+    expected = (
+        "name,kind,macs,ai,ops\n"
+        "conv1,conv,1000,0.5000,1.235e+04\n"
+        "relu1,Balanced,0,,\n"
+        "fc,fc,100000000000000000000,3.0000,0.000e+00\n"
+        '"a,b",,,selected_alpha,\n'
+        "median,,,2.2500,\n"
+        ",ActivationsScarce,,,7.000e+00\n"
+    )
+    _emit("csv", None, columns, rows)
+    assert capsys.readouterr().out == expected
+    _emit("csv", None, columns, [])
+    assert capsys.readouterr().out == "name,kind,macs,ai,ops\n"
 
 
 def test_each_layer_is_costed_once_per_command(runner, model_dir, monkeypatch):

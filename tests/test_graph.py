@@ -8,7 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 import yaml
@@ -33,7 +33,7 @@ from dnnreuse.graph import (
 )
 from dnnreuse.layercost import LayerCost
 from dnnreuse.netprofile import aggregate
-from oracles import longhand_topo_order
+from oracles import longhand_layer_costs, longhand_topo_order
 
 SMALLEST = """
 input: {channels: 3, h: 224, w: 224}
@@ -679,6 +679,119 @@ class TestInferShapes:
     def test_bool_dimension_refused(self):
         with pytest.raises(ShapeError, match=r"^tensor dimensions must be integers >= 1, got TensorShape\(channels=True"):
             TensorShape(True, 4, 4)
+
+
+def field_list_record(record):
+    """`record` as its dataclass field list builds it: a bare instance given each field in turn, as a generated __init__ does."""
+    twin = object.__new__(type(record))
+    for f in fields(record):
+        object.__setattr__(twin, f.name, getattr(record, f.name))
+    return twin
+
+
+def hash_or_refusal(record):
+    try:
+        return hash(record)
+    except TypeError as exc:  # a LayerSpec holds its params dict
+        return str(exc)
+
+
+def assert_record_parity(record):
+    """`record` has exactly its dataclass fields, in order, and behaves as the record its field list builds."""
+    twin = field_list_record(record)
+    names = [f.name for f in fields(record)]
+    assert list(vars(record)) == names, record
+    assert vars(record) == vars(twin) and repr(record) == repr(twin) and record == twin
+    assert hash_or_refusal(record) == hash_or_refusal(twin)
+    assert replace(record) == twin and vars(replace(record)) == vars(twin)
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+
+
+def assert_graph_records(graph: ModelGraph):
+    for record in (graph.input_shape, *graph.layers, *graph.shapes.values(), *graph.costs.values()):
+        assert_record_parity(record)
+
+
+@st.composite
+def pointwise_documents(draw):
+    """A JSON model document of convs, relus and batchnorms, in place by default, explicitly or materialised, some joined by add."""
+    layers = [{"name": "data", "kind": "input"}]
+    channels = {"data": 3}  # every layer keeps the 4x4 input extent, so an add needs equal channels alone
+    last = "data"
+    for i in range(draw(st.integers(1, 16))):
+        name = f"l{i}"
+        peers = [n for n, c in channels.items() if c == channels[last] and n != last]
+        kind = draw(st.sampled_from(["conv", "relu", "batchnorm"] + ["add"] * bool(peers)))
+        entry = {"name": name, "kind": kind, "inputs": [last]}
+        if kind == "conv":
+            k = draw(st.sampled_from([1, 3]))
+            entry.update(out_channels=draw(st.sampled_from([channels[last], 2, 5])), kernel_h=k, kernel_w=k, pad_h=k // 2, pad_w=k // 2)
+        elif kind == "add":
+            entry["inputs"] = [draw(st.sampled_from(peers)), last]
+        else:
+            in_place = draw(st.sampled_from([None, True, False]))
+            if in_place is not None:
+                entry["in_place"] = in_place
+        channels[name] = entry.get("out_channels", channels[last])
+        layers.append(entry)
+        last = name
+    return json.dumps({"name": "drawn", "input": {"channels": 3, "h": 4, "w": 4}, "layers": layers})
+
+
+class TestRecordParity:
+    """Every record the graph builds behaves as the one its dataclass field list builds."""
+
+    def test_every_fixture_record(self, model_dir):
+        paths = sorted(model_dir.glob("*.yaml"))
+        assert len(paths) == 25
+        for path in paths:
+            assert_graph_records(parse_model(path.read_text(), name=path.stem))
+
+    @given(pointwise_documents())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_graph_records(self, text):
+        graph = parse_model(text)
+        assert_graph_records(graph)
+        costs = {name: (c.macs, c.weights, c.activations) for name, c in graph.costs.items()}
+        assert costs == longhand_layer_costs(text)
+        assert all(type(n) is int for counts in costs.values() for n in counts)
+
+    def test_hand_built_records(self):
+        for record in (DATA, CONV1, RELU1, LayerSpec(name="k", kind="relu", inputs=("d",), params={}, in_place=True)):
+            assert_record_parity(record)
+        assert_graph_records(ModelGraph(name="hand", input_shape=TensorShape(3, 8, 8), layers=(DATA, CONV1, RELU1)))
+
+    def test_omitted_params_is_a_new_empty_dict_and_none_is_kept(self):
+        first, second = LayerSpec("a", "relu"), LayerSpec("b", "relu")
+        assert first.params == {} and first.params is not second.params
+        assert LayerSpec("c", "conv", ("d",), None).params is None
+        assert [f.name for f in fields(LayerSpec)] == ["name", "kind", "inputs", "params", "in_place"]
+
+    @pytest.mark.parametrize("bad", [True, 0, -1, 2.0], ids=["bool", "zero", "negative", "float"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["channels", "height", "width"])
+    def test_tensor_shape_refuses_every_bad_dimension(self, position, bad):
+        dims = [4, 5, 6]
+        dims[position] = bad
+        c, h, w = dims
+        message = f"tensor dimensions must be integers >= 1, got TensorShape(channels={c!r}, height={h!r}, width={w!r})"
+        with pytest.raises(ShapeError) as refused:
+            TensorShape(*dims)
+        assert str(refused.value) == message
+        with pytest.raises(ShapeError) as replaced:
+            replace(TensorShape(4, 5, 6), **{fields(TensorShape)[position].name: bad})
+        assert str(replaced.value) == message
+
+    def test_tensor_shape_keeps_an_int_subclass(self):
+        class Size(enum.IntEnum):
+            FOUR = 4
+
+        shape = TensorShape(Size.FOUR, 4, 4)
+        assert shape.channels is Size.FOUR and shape == TensorShape(4, 4, 4)
+        assert_record_parity(shape)
 
 
 class TestAnnotationsFollowTheGraph:
