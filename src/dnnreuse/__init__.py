@@ -31,7 +31,6 @@ from .metrics import (
     CaseTag,
     classify_case,
     disparity,
-    reuse_bound_holds,
     weighted_intensity,
 )
 from .netprofile import (
@@ -60,7 +59,6 @@ from .stats import (
     alpha_sweep,
     fisher_ci,
     fisher_z_width,
-    min_sample_size,
     pearson,
     select_alpha,
     spearman,

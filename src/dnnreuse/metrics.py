@@ -18,6 +18,7 @@ not used here.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 from .errors import DegenerateDataError, InputError
@@ -53,11 +54,17 @@ def weighted_intensity(profile: NetworkProfile, alpha: float = DEFAULT_ALPHA) ->
 
 
 def disparity(profile: NetworkProfile, alpha: float = DEFAULT_ALPHA) -> float:
-    """Relative disparity d_f between AI_c and DI, in percent."""
+    """Relative disparity d_f between AI_c and DI, in percent; a d_f beyond float range is refused."""
     ai_c = profile.ai_c
     if ai_c <= 0:
         raise DegenerateDataError("disparity undefined at AI_c = 0")
-    return 100 * (ai_c - weighted_intensity(profile, alpha)) / ai_c
+    di = weighted_intensity(profile, alpha)
+    d_f = 100 * (ai_c - di) / ai_c
+    if not math.isfinite(d_f):  # 100 * (ai_c - di) can leave float range where d_f itself does not
+        d_f = 100 * ((ai_c - di) / ai_c)
+        if not math.isfinite(d_f):
+            raise DegenerateDataError(f"d_f = 100 * (AI_c - DI) / AI_c leaves float range: AI_c {ai_c!r}, DI {di!r}")
+    return d_f
 
 
 def classify_case(profile: NetworkProfile, tau_low: float = TAU_LOW, tau_high: float = TAU_HIGH) -> CaseTag:
@@ -70,10 +77,3 @@ def classify_case(profile: NetworkProfile, tau_low: float = TAU_LOW, tau_high: f
     if ratio > tau_high:
         return CaseTag.ACTIVATIONS_DOMINANT
     return CaseTag.BALANCED
-
-
-def reuse_bound_holds(profile: NetworkProfile) -> tuple[bool, float]:
-    """AI_c never exceeds (M_c/A + M_c/W)/4; returns (holds, slack), with slack allowed 1e-9 of the bound for rounding."""
-    bound = (profile.activation_reuse + profile.weight_reuse) / 4
-    slack = bound - profile.ai_c
-    return slack >= -1e-9 * bound, slack

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import _FLOAT_MAX, DegenerateDataError, InputError, finite, integer, positive
+from .errors import DegenerateDataError, InputError, finite, integer
 from .metrics import _intensities
 
 Z_CRITICAL = {0.95: 1.96, 0.99: 2.58}
@@ -38,15 +38,8 @@ class CalibrationCurve:
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    r: float
-    n: int
-    level: float
     lower: float
     upper: float
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def _floats(values) -> list[float]:
@@ -221,13 +214,7 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> ConfidenceInterval:
     if not -1.0 < r < 1.0:
         raise InputError(f"Fisher transform diverges at |r| = 1, got {r}")
     z = math.atanh(r)
-    return ConfidenceInterval(
-        r=r,
-        n=n,
-        level=level,
-        lower=math.tanh(z - margin),
-        upper=math.tanh(z + margin),
-    )
+    return ConfidenceInterval(math.tanh(z - margin), math.tanh(z + margin))
 
 
 def fisher_z_width(n: int, level: float = 0.95) -> float:
@@ -235,21 +222,3 @@ def fisher_z_width(n: int, level: float = 0.95) -> float:
     if level not in Z_CRITICAL:
         raise InputError(f"level must be one of {sorted(Z_CRITICAL)}, got {level}")
     return 2 * Z_CRITICAL[level] / math.sqrt(integer(n, "n", 4) - 3)  # n = 3 has no finite standard error
-
-
-def min_sample_size(level: float = 0.95, max_z_width: float = 1.0) -> int:
-    """Smallest sample count whose Z-space interval width fits the budget.
-
-    fisher_z_width does not increase with n, so bisection finds it among
-    the counts within float range; a budget none of them meets is refused.
-    """
-    lo, hi = 3, int(_FLOAT_MAX)  # n = 3 has no interval; hi is the largest count errors.integer accepts
-    if (width := fisher_z_width(hi, level)) > positive(max_z_width, "max_z_width"):
-        raise InputError(f"max_z_width must be at least {width}, the width at the largest count within float range, got {max_z_width}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fisher_z_width(mid, level) <= max_z_width:
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -17,7 +17,7 @@ from dnnreuse.cli import COUNT, ENERGY, RATIO, TEXT, _emit, main
 from dnnreuse.graph import parse_model
 from dnnreuse.metrics import CaseTag
 
-from conftest import NEGATIVE, assert_exit_2
+from conftest import FIXTURES, NEGATIVE, assert_exit_2
 from oracles import longhand_layer_costs
 
 TINY_MODEL = """\
@@ -61,6 +61,13 @@ def profiles_without_weights_for(tmp_path, fixture_dir, model) -> str:
     path = tmp_path / "profiles.csv"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def one_conv_on_a_pixel(kernel: int, pad: int) -> str:
+    """A JSON model: one conv of a `kernel` x `kernel` square, stride 1, from a 1x1x1 input to one channel."""
+    conv = {"name": "c", "kind": "conv", "inputs": ["data"], "out_channels": 1, "kernel_h": kernel, "kernel_w": kernel}
+    conv.update(stride_h=1, stride_w=1, pad_h=pad, pad_w=pad)
+    return json.dumps({"input": {"channels": 1, "h": 1, "w": 1}, "layers": [{"name": "data", "kind": "input"}, conv]})
 
 
 @pytest.fixture()
@@ -135,6 +142,19 @@ class TestAnalyze:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr == "error: nw: weight reuse undefined: no weights\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_d_f_whose_numerator_leaves_float_range_is_printed(self, runner, tmp_path, fmt):
+        # AI_c 9.0 and DI 3.4848e306 on a 3x3 output: d_f is -3.872e307, but 100 * (AI_c - DI) overflowed to -inf
+        k = 44 * 10**152 + 1
+        path = tmp_path / "wide.json"
+        path.write_text(one_conv_on_a_pixel(k, (k + 1) // 2))
+        out = run_ok(runner, ["analyze", str(path), "--format", fmt])
+        if fmt == "json":
+            (row,) = json.loads(out, parse_constant=refuse_non_finite)
+        else:
+            (row,) = csv.DictReader(out.splitlines())
+        assert float(row["d_f"]) == pytest.approx(-3.872e307, rel=1e-12)
 
     def test_deterministic_output(self, runner, model_dir):
         args = ["analyze", str(model_dir / "vgg-16.yaml"), str(model_dir / "nin.yaml")]
@@ -515,6 +535,9 @@ INPUT_8x8 = "input: {channels: 3, h: 8, w: 8}\nlayers:\n  - {name: data, kind: i
 THREE_PROFILES = "model,macs,weights,activations\nx,100,4,6\ny,200,5,5\nz,300,6,9\n"
 MEASUREMENT_HEADER = "model,device,batch,p_avg_w,i_t_ms,input_h,input_w,macs\n"
 P100 = "{fixtures}/hardware/p100.yaml"
+WIDE_KERNEL = 134 * 10**152 + 1  # its square, the conv's weight count, is 1.7956e308
+WIDE_MODEL = one_conv_on_a_pixel(WIDE_KERNEL, (WIDE_KERNEL - 1) // 2)
+WIDE_REFUSAL = "model: d_f = 100 * (AI_c - DI) / AI_c leaves float range: AI_c 1.0, DI 1.7956000000000002e+307"
 # (arguments, files written under their keys, exit code, error line); {key} names a file's path, {fixtures} the bundle
 REFUSALS = {
     "no-macs-disparity": (
@@ -522,6 +545,9 @@ REFUSALS = {
         {"model": "name: bn\n" + INPUT_8x8 + "  - {name: bn, kind: batchnorm, inputs: [data], in_place: false}\n"},
         3, "bn: disparity undefined at AI_c = 0",
     ),
+    # AI_c 1.0 and DI 1.7956e307 on a 1x1 output: d_f is about -1.8e309, once printed as -inf and -Infinity
+    "d_f-beyond-float-range": (["analyze", "{model}"], {"model": WIDE_MODEL}, 3, WIDE_REFUSAL),
+    "d_f-beyond-float-range-json": (["analyze", "{model}", "--format", "json"], {"model": WIDE_MODEL}, 3, WIDE_REFUSAL),
     "constant-efficiency": (
         ["calibrate", "--profiles", "{profiles}", "--measurements", "{measurements}"],
         {"profiles": THREE_PROFILES, "measurements": MEASUREMENT_HEADER + "".join(
@@ -892,3 +918,58 @@ class TestLongValues:
     def test_hardware_peak(self, runner, model_dir, nested_list):
         pathlib.Path("hw.json").write_text(json.dumps({"name": "x", "peak_flops": nested_list, "peak_bandwidth_bytes_per_s": 1e11}))
         self.exits_2_with_short_error(runner, ["roofline", "--hw", "hw.json", str(model_dir / "nin.yaml")])
+
+
+def data_rows(path: pathlib.Path) -> tuple[bytes, list[bytes]]:
+    """(header line, data lines) of a CSV file, each line with its own ending."""
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    return header, rows
+
+
+def models_in_file_order(roofline_output: str, fmt: str, order: list[str]) -> str:
+    """A roofline report with its model rows put in `order`, its envelope rows left as they are."""
+    if fmt == "json":
+        doc = json.loads(roofline_output)
+        by_label = {point["label"]: point for point in doc["points"]}
+        doc["points"] = [by_label[model] for model in order]
+        return json.dumps(doc, indent=2) + "\n"
+    header, *rows = roofline_output.splitlines(keepends=True)
+    by_label = {row.split(",")[1]: row for row in rows if row.startswith("model,")}
+    return header + "".join(by_label[model] for model in order) + "".join(row for row in rows if row.startswith("envelope,"))
+
+
+class TestCsvRowOrder:
+    """Shuffling the data rows of a CSV input changes no report, except that roofline's model rows follow --profiles."""
+
+    PROFILES = data_rows(FIXTURES / "reference_metrics.csv")
+    MEASUREMENTS = data_rows(FIXTURES / "measurements.csv")
+    # {profiles} and {measurements} stand for the two CSV paths
+    COMMANDS = {
+        "calibrate": ["calibrate", "--profiles", "{profiles}", "--measurements", "{measurements}", "--device", "P4000", "--batch", "4"],
+        "stats": ["stats", "{profiles}", "--x", "di", "--y", "ai_c"],
+        "roofline": [
+            "roofline", "--hw", str(FIXTURES / "hardware" / "p100.yaml"), "--profiles", "{profiles}",
+            "--measurements", "{measurements}", "--device", "P100", "--batch", "4", "--metric", "di",
+        ],
+    }
+
+    def report(self, command: str, fmt: str, profiles, measurements) -> str:
+        args = [arg.format(profiles=profiles, measurements=measurements) for arg in self.COMMANDS[command]]
+        return run_ok(CliRunner(), [*args, "--format", fmt])
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(profile_rows=st.permutations(PROFILES[1]), measurement_rows=st.permutations(MEASUREMENTS[1]))
+    def test_reports_under_shuffled_rows(self, tmp_path, profile_rows, measurement_rows):
+        profiles, measurements = FIXTURES / "reference_metrics.csv", FIXTURES / "measurements.csv"
+        shuffled_profiles, shuffled_measurements = tmp_path / "profiles.csv", tmp_path / "measurements.csv"
+        shuffled_profiles.write_bytes(self.PROFILES[0] + b"".join(profile_rows))
+        shuffled_measurements.write_bytes(self.MEASUREMENTS[0] + b"".join(measurement_rows))
+        order = [row.split(b",", 1)[0].decode() for row in profile_rows]
+        for fmt in ("csv", "json"):
+            for command in ("calibrate", "stats"):
+                original = self.report(command, fmt, profiles, measurements)
+                assert self.report(command, fmt, shuffled_profiles, shuffled_measurements) == original, (command, fmt)
+            original = self.report("roofline", fmt, profiles, measurements)
+            assert self.report("roofline", fmt, profiles, shuffled_measurements) == original, fmt
+            shuffled = self.report("roofline", fmt, shuffled_profiles, shuffled_measurements)
+            assert shuffled == models_in_file_order(original, fmt, order), fmt

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,7 +12,6 @@ from dnnreuse.metrics import (
     CaseTag,
     classify_case,
     disparity,
-    reuse_bound_holds,
     weighted_intensity,
 )
 from dnnreuse.netprofile import NetworkProfile
@@ -84,6 +85,21 @@ class TestDisparity:
         p = NetworkProfile(macs=1000, weights=25, activations=25)
         assert disparity(p, 0.8) == pytest.approx(50.0, rel=1e-12)
 
+    def test_numerator_beyond_float_range_takes_the_quotient_first(self):
+        # AI_c 9.0 and DI 3.4848e306: 100 * (AI_c - DI) leaves float range, d_f itself does not
+        k = 4.4e153
+        p = NetworkProfile(macs=9 * k * k, weights=k * k, activations=10)
+        ai_c, di = p.ai_c, weighted_intensity(p, 0.8)
+        assert math.isinf(100 * (ai_c - di))
+        assert disparity(p, 0.8) == 100 * ((ai_c - di) / ai_c) == pytest.approx(-3.872e307, rel=1e-12)
+
+    def test_beyond_float_range_refused(self):
+        # AI_c 1.0 and DI 1.7956e307: d_f is about -1.8e309
+        k = 1.34e154
+        p = NetworkProfile(macs=k * k, weights=k * k, activations=2)
+        with pytest.raises(DegenerateDataError, match=r"^d_f = 100 \* \(AI_c - DI\) / AI_c leaves float range: AI_c 1.0, DI 1.7956"):
+            disparity(p, 0.8)
+
 
 @settings(max_examples=300, deadline=None)
 @given(weights=positive, activations=positive, macs=positive)
@@ -133,28 +149,32 @@ class TestClassifyCase:
         assert classify_case(p) is classify_case(q)
 
 
+def quarter_reuse_sum(profile: NetworkProfile) -> float:
+    """(M_c/A + M_c/W)/4, the bound that AI_c never exceeds."""
+    return (profile.activation_reuse + profile.weight_reuse) / 4
+
+
 class TestReuseBound:
+    """AI_c never exceeds the quarter reuse sum, up to 1e-9 of the bound for rounding."""
+
     def test_reference_slack(self):
         p = profile_from_reuse(11.85, 361.50)
-        ok, slack = reuse_bound_holds(p)
-        assert ok
+        slack = quarter_reuse_sum(p) - p.ai_c
         assert slack == pytest.approx((361.50 + 11.85) / 4 - 11.85 * 361.50 / (11.85 + 361.50), rel=1e-9)
         assert slack > 80
 
     def test_equality_iff_balanced(self):
         p = NetworkProfile(macs=123.0, weights=7.0, activations=7.0)
-        ok, slack = reuse_bound_holds(p)
-        assert ok
-        assert slack == pytest.approx(0.0, abs=1e-12)
+        assert quarter_reuse_sum(p) - p.ai_c == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=1000, deadline=None)
     @given(weights=positive, activations=positive, macs=positive)
     @example(weights=0.001, activations=0.0010000000000000002, macs=23513.0)  # AI_c 1.18e7, slack -1.86e-9
     def test_randomized_bound(self, weights, activations, macs):
         p = NetworkProfile(macs=macs, weights=weights, activations=activations)
-        ok, slack = reuse_bound_holds(p)
-        assert ok
-        assert slack >= -1e-9 * (p.activation_reuse + p.weight_reuse) / 4
+        bound = quarter_reuse_sum(p)
+        slack = bound - p.ai_c
+        assert slack >= -1e-9 * bound
         if slack < 1e-12 * p.ai_c:
             assert weights == pytest.approx(activations, rel=1e-5)
 

@@ -17,7 +17,7 @@ from dnnreuse.errors import InputError, integer, positive
 from dnnreuse.graph import ModelSyntaxError
 from dnnreuse.netprofile import NetworkProfile, batch_scale
 from dnnreuse.roofline import HardwareSpec, classify, roofline_points
-from dnnreuse.stats import fisher_ci, fisher_z_width, min_sample_size
+from dnnreuse.stats import fisher_ci, fisher_z_width
 
 BEYOND_FLOAT = st.integers(min_value=2**1024)  # 10**400 among them
 
@@ -40,10 +40,6 @@ REFUSALS = {
     "fisher_ci.r": (lambda v: fisher_ci(v, 25), NOT_A_CORRELATION),
     "fisher_ci.n": (lambda v: fisher_ci(0.5, v), not_a_count(4)),
     "fisher_z_width.n": (fisher_z_width, not_a_count(4)),
-    # below about 2.9e-154 no count within float range meets the budget
-    "min_sample_size.max_z_width": (
-        lambda v: min_sample_size(0.95, v), st.one_of(NOT_POSITIVE, st.floats(min_value=5e-324, max_value=2.9e-154))
-    ),
     "HardwareSpec.peak_throughput": (lambda v: HardwareSpec("x", v, 1e11), NOT_POSITIVE),
     "HardwareSpec.peak_bandwidth": (lambda v: HardwareSpec("x", 1e12, v), NOT_POSITIVE),
     "classify.intensity": (lambda v: classify(HW, v), NOT_POSITIVE),
@@ -66,8 +62,8 @@ def test_a_refused_number_raises_input_error(call, refused, data):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, 2.5, 0, -1, 10**400])
 def test_each_listed_value_is_refused_where_it_applies(value):
     for name, (call, refused) in REFUSALS.items():
-        if value == 2.5 and name.startswith(("min_sample_size", "HardwareSpec", "classify", "roofline_points")):
-            continue  # a valid budget, peak, intensity and conversion factor
+        if value == 2.5 and name.startswith(("HardwareSpec", "classify", "roofline_points")):
+            continue  # a valid peak, intensity and conversion factor
         if value == 0 and name == "fisher_ci.r":
             continue
         with pytest.raises(InputError):
