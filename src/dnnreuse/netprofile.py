@@ -138,28 +138,19 @@ def load_profiles(text: str) -> dict[str, tuple[NetworkProfile, float | None]]:
             raise InputError(f"row {i}: empty model name")
         if model in profiles:
             raise InputError(f"row {i}: duplicate model {model!r}")
-        # a row is accepted when every number lies in range, which NaN fails, and a count-form row has data; any
-        # other row goes through _cell_by_cell, which takes it (as a ratio pair whose product underflows to 0)
-        # or raises for its first bad cell
+        # the record checks every count; only the ratio form's forward-pass macs, which no record holds, is checked
+        # here, against a range that NaN fails. Any other row goes through _cell_by_cell, which names its first bad cell
         try:
             first, second = float(fields[first_at]), float(fields[second_at])
             if count_form:
                 macs = float(fields[macs_at])
-                accepted = (
-                    0 <= macs <= _FLOAT_MAX and 0 <= first <= _FLOAT_MAX and 0 <= second <= _FLOAT_MAX and 0 < first + second
-                )
-            else:
-                macs = float(fields[macs_at]) if macs_at is not None and fields[macs_at] else None
-                accepted = (
-                    0 < first <= _FLOAT_MAX
-                    and 0 < second <= _FLOAT_MAX
-                    and 0 < first * second <= _FLOAT_MAX
-                    and (macs is None or 0 <= macs <= _FLOAT_MAX)
-                )
-            if accepted:  # NetworkProfile refuses a reuse quotient beyond float range, which _cell_by_cell then names
-                profiles[model] = (NetworkProfile(macs, first, second) if count_form else NetworkProfile.from_reuse(first, second)), macs
+                profiles[model] = NetworkProfile(macs, first, second), macs
                 continue
-        except ValueError:
+            macs = float(fields[macs_at]) if macs_at is not None and fields[macs_at] else None
+            if macs is None or 0 <= macs <= _FLOAT_MAX:
+                profiles[model] = NetworkProfile.from_reuse(first, second), macs
+                continue
+        except ValueError:  # a cell float() cannot read, or a record's InputError or DegenerateDataError
             pass
         try:
             profiles[model] = _cell_by_cell(fields, column, count_form)

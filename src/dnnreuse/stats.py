@@ -200,8 +200,7 @@ def select_alpha(points, epsilon: float = DEFAULT_EPSILON) -> float:
     for here, after in zip(points, points[1:]):
         if after.r_p - here.r_p < epsilon:
             return here.alpha
-    best = max(points, key=lambda p: p.r_p)
-    return next(p.alpha for p in points if p.r_p == best.r_p)
+    return max(points, key=lambda p: p.r_p).alpha
 
 
 def fisher_ci(r: float, n: int, level: float = 0.95) -> ConfidenceInterval:

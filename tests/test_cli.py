@@ -973,3 +973,147 @@ class TestCsvRowOrder:
             assert self.report("roofline", fmt, profiles, shuffled_measurements) == original, fmt
             shuffled = self.report("roofline", fmt, shuffled_profiles, shuffled_measurements)
             assert shuffled == models_in_file_order(original, fmt, order), fmt
+
+
+SERIES = [("P100", "1"), ("P100", "4"), ("P4000", "1"), ("P4000", "4")]
+
+
+def calibrate_reports(measurements, profiles=FIXTURES / "reference_metrics.csv") -> dict:
+    """(device, batch, format) -> calibrate's stdout on each of the four measured series."""
+    return {
+        (device, batch, fmt): run_ok(CliRunner(), [
+            "calibrate", "--profiles", str(profiles), "--measurements", str(measurements),
+            "--device", device, "--batch", batch, "--format", fmt,
+        ])
+        for device, batch in SERIES
+        for fmt in ("csv", "json")
+    }
+
+
+def rewritten_csv(source: pathlib.Path, path: pathlib.Path, change) -> pathlib.Path:
+    """Write `source` to `path` with `change(cells)` applied to each data row's dict of cells; return `path`."""
+    header, *rows = csv.reader(source.read_text().splitlines())
+    lines = [header]
+    for row in rows:
+        cells = dict(zip(header, row))
+        change(cells)
+        lines.append([cells[name] for name in header])
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
+    return path
+
+
+@pytest.fixture(scope="module")
+def bundled_reports() -> dict:
+    return calibrate_reports(FIXTURES / "measurements.csv")
+
+
+def without_r_p(calibrate_json: str) -> dict:
+    doc = json.loads(calibrate_json)
+    return {**doc, "points": [{k: v for k, v in point.items() if k != "r_p"} for point in doc["points"]]}
+
+
+class TestMeasurementScale:
+    """Rescaling measured power or latency moves no selected alpha; rescaling by a power of two moves no bit."""
+
+    @staticmethod
+    def rescaled(tmp_path, power, latency) -> pathlib.Path:
+        def change(cells):
+            cells["p_avg_w"] = repr(power(float(cells["p_avg_w"])))
+            cells["i_t_ms"] = repr(latency(float(cells["i_t_ms"])))
+
+        return rewritten_csv(FIXTURES / "measurements.csv", tmp_path / "measurements.csv", change)
+
+    @pytest.mark.parametrize("power, latency", [
+        (lambda p: p * 1024, lambda t: t),
+        (lambda p: p, lambda t: t * 2**-10),
+        (lambda p: p * 2**7, lambda t: t * 2**3),
+    ], ids=["power-x1024", "latency-x2^-10", "power-x2^7-latency-x2^3"])
+    def test_power_of_two_is_byte_identical(self, tmp_path, bundled_reports, power, latency):
+        assert calibrate_reports(self.rescaled(tmp_path, power, latency)) == bundled_reports
+
+    @pytest.mark.parametrize("power, latency", [
+        (lambda p: p * 3, lambda t: t),
+        (lambda p: p * 1000, lambda t: t / 1000),
+    ], ids=["power-x3", "power-x1000-latency-/1000"])
+    def test_other_factor_moves_only_r_p_and_that_by_rounding(self, tmp_path, bundled_reports, power, latency):
+        reports = calibrate_reports(self.rescaled(tmp_path, power, latency))
+        for (device, batch, fmt), expected in bundled_reports.items():
+            got = reports[device, batch, fmt]
+            if fmt == "csv":
+                assert got == expected, (device, batch)
+                continue
+            assert without_r_p(got) == without_r_p(expected), (device, batch)
+            # r_p lies in [-1, 1], so a few ulp of 1.0 bound its rounding
+            r_p = [[point["r_p"] for point in json.loads(report)["points"]] for report in (got, expected)]
+            assert r_p[0] == pytest.approx(r_p[1], rel=0, abs=4 * 2**-52), (device, batch)
+
+
+MODEL_NAMES = sorted(row[0] for row in csv.reader((FIXTURES / "reference_metrics.csv").read_text().splitlines()[1:]))
+
+
+class TestRenamedModels:
+    """Renaming the models in both CSV inputs, by a map that reverses their sort order, changes only roofline's labels."""
+
+    NEW_NAME = {name: f"net{len(MODEL_NAMES) - i:02d}" for i, name in enumerate(MODEL_NAMES)}
+    OLD_NAME = {new: old for old, new in NEW_NAME.items()}
+    ROOFLINE = ["roofline", "--hw", str(FIXTURES / "hardware" / "p100.yaml"), "--device", "P100", "--batch", "4", "--metric", "di"]
+
+    @pytest.fixture(scope="class")
+    def renamed(self, tmp_path_factory) -> tuple[pathlib.Path, pathlib.Path]:
+        """(profiles, measurements) paths of the bundled CSVs with every model renamed."""
+        tmp = tmp_path_factory.mktemp("renamed")
+
+        def change(cells):
+            cells["model"] = self.NEW_NAME[cells["model"]]
+
+        return tuple(rewritten_csv(FIXTURES / name, tmp / name, change) for name in ("reference_metrics.csv", "measurements.csv"))
+
+    def old_labels(self, roofline_output: str, fmt: str) -> str:
+        """A roofline report with each renamed model's label turned back into its original name."""
+        if fmt == "json":
+            doc = json.loads(roofline_output)
+            for point in doc["points"]:
+                point["label"] = self.OLD_NAME[point["label"]]
+            return json.dumps(doc, indent=2) + "\n"
+        rows = [row.split(",", 2) for row in roofline_output.splitlines(keepends=True)]
+        return "".join(",".join([kind, self.OLD_NAME[label] if kind == "model" else label, rest]) for kind, label, rest in rows)
+
+    def test_calibrate_and_stats_are_byte_identical(self, renamed, bundled_reports):
+        profiles, measurements = renamed
+        assert calibrate_reports(measurements, profiles) == bundled_reports
+        for fmt in ("csv", "json"):
+            args = ["--x", "di", "--y", "ai_c", "--format", fmt]
+            original = run_ok(CliRunner(), ["stats", str(FIXTURES / "reference_metrics.csv"), *args])
+            assert run_ok(CliRunner(), ["stats", str(profiles), *args]) == original, fmt
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_roofline_differs_only_in_its_labels(self, renamed, fmt):
+        profiles, measurements = renamed
+        original = run_ok(CliRunner(), [
+            *self.ROOFLINE, "--profiles", str(FIXTURES / "reference_metrics.csv"),
+            "--measurements", str(FIXTURES / "measurements.csv"), "--format", fmt,
+        ])
+        got = run_ok(CliRunner(), [*self.ROOFLINE, "--profiles", str(profiles), "--measurements", str(measurements), "--format", fmt])
+        assert got != original
+        assert self.old_labels(got, fmt) == original
+
+
+@pytest.fixture(scope="module")
+def json_models(tmp_path_factory) -> pathlib.Path:
+    """Directory holding each fixture network as JSON, `json.dumps` of its safe-loaded YAML, under its own stem."""
+    tmp = tmp_path_factory.mktemp("json-models")
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # the same document, read faster where libyaml is built
+    for path in (FIXTURES / "models").glob("*.yaml"):
+        (tmp / f"{path.stem}.json").write_text(json.dumps(yaml.load(path.read_text(), Loader=loader)))
+    return tmp
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in (FIXTURES / "models").glob("*.yaml")))
+def test_network_as_yaml_and_as_json_prints_the_same(json_models, stem):
+    commands = [
+        ["analyze"], ["analyze", "--format", "json"], ["layers"], ["layers", "--format", "json"],
+        ["roofline", "--hw", str(FIXTURES / "hardware" / "p100.yaml")],
+    ]
+    for command in commands:
+        as_yaml = run_ok(CliRunner(), [*command, str(FIXTURES / "models" / f"{stem}.yaml")])
+        assert run_ok(CliRunner(), [*command, str(json_models / f"{stem}.json")]) == as_yaml, command
