@@ -61,8 +61,8 @@ def _guarded(func):
 
 
 def _parse_file(path: str, parse):
-    """parse(text) of the file at `path`; an input error names the file."""
-    text = pathlib.Path(path).read_text(encoding="utf-8")
+    """parse(text) of the file at `path`, a leading UTF-8 byte-order mark dropped; an input error names the file."""
+    text = pathlib.Path(path).read_text(encoding="utf-8-sig")
     try:
         return parse(text)
     except InputError as exc:

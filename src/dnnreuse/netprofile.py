@@ -104,20 +104,20 @@ def _number(fields: list, column: dict, name: str) -> float:
     return finite(float(fields[column[name]]), name)
 
 
-def _cell_by_cell(fields: list, column: dict, count_form: bool) -> tuple[NetworkProfile, float | None]:
-    """(profile, forward-pass macs or None) of a row, each cell converted and checked in turn.
-
-    The first cell that fails, in the order the row's form reads them,
-    raises its own message.
-    """
-    if count_form:
-        macs = _number(fields, column, "macs")
-        return NetworkProfile(macs, _number(fields, column, "weights"), _number(fields, column, "activations")), macs
-    profile = NetworkProfile.from_reuse(_number(fields, column, "mc_over_w"), _number(fields, column, "mc_over_a"))
-    macs = _number(fields, column, "macs") if "macs" in column and fields[column["macs"]] else None
-    if macs is not None and macs < 0:
-        raise InputError(f"macs must be non-negative, got {macs}")
-    return profile, macs
+def _refuse(i: int, model: str, fields: list, column: dict, count_form: bool):
+    """Raise the error of a refused row's first bad cell, read in its form's order and refused as the record refuses it."""
+    try:
+        if count_form:
+            NetworkProfile(_number(fields, column, "macs"), _number(fields, column, "weights"), _number(fields, column, "activations"))
+        else:
+            NetworkProfile.from_reuse(_number(fields, column, "mc_over_w"), _number(fields, column, "mc_over_a"))
+            if "macs" in column and fields[column["macs"]] and (macs := _number(fields, column, "macs")) < 0:
+                raise InputError(f"macs must be non-negative, got {macs}")
+    except DegenerateDataError as exc:  # a ValueError too, but the row is well formed
+        raise DegenerateDataError(f"{model}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"row {i}: bad value for {model!r}: {exc}") from None
+    raise AssertionError(f"row {i} was refused, but each of its cells passes")
 
 
 def load_profiles(text: str) -> dict[str, tuple[NetworkProfile, float | None]]:
@@ -138,26 +138,18 @@ def load_profiles(text: str) -> dict[str, tuple[NetworkProfile, float | None]]:
             raise InputError(f"row {i}: empty model name")
         if model in profiles:
             raise InputError(f"row {i}: duplicate model {model!r}")
-        # the record checks every count; only the ratio form's forward-pass macs, which no record holds, is checked
-        # here, against a range that NaN fails. Any other row goes through _cell_by_cell, which names its first bad cell
+        # the record checks every count, a blank count-form macs included; only the ratio form's forward-pass macs,
+        # which no record holds, is checked here, against a range that NaN fails. _refuse names a refused row's bad cell
         try:
             first, second = float(fields[first_at]), float(fields[second_at])
-            if count_form:
-                macs = float(fields[macs_at])
-                profiles[model] = NetworkProfile(macs, first, second), macs
-                continue
             macs = float(fields[macs_at]) if macs_at is not None and fields[macs_at] else None
-            if macs is None or 0 <= macs <= _FLOAT_MAX:
-                profiles[model] = NetworkProfile.from_reuse(first, second), macs
-                continue
+            profile = NetworkProfile(macs, first, second) if count_form else NetworkProfile.from_reuse(first, second)
+            accepted = macs is None or 0 <= macs <= _FLOAT_MAX
         except ValueError:  # a cell float() cannot read, or a record's InputError or DegenerateDataError
-            pass
-        try:
-            profiles[model] = _cell_by_cell(fields, column, count_form)
-        except DegenerateDataError as exc:  # a ValueError too, but the row is well formed
-            raise DegenerateDataError(f"{model}: {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"row {i}: bad value for {model!r}: {exc}") from None
+            accepted = False
+        if not accepted:
+            _refuse(i, model, fields, column, count_form)
+        profiles[model] = profile, macs
     if not profiles:
         raise InputError("no profile rows")
     return profiles

@@ -1117,3 +1117,108 @@ def test_network_as_yaml_and_as_json_prints_the_same(json_models, stem):
     for command in commands:
         as_yaml = run_ok(CliRunner(), [*command, str(FIXTURES / "models" / f"{stem}.yaml")])
         assert run_ok(CliRunner(), [*command, str(json_models / f"{stem}.json")]) == as_yaml, command
+
+
+BOM = "\ufeff".encode()
+
+
+def with_bom(source: pathlib.Path, directory: pathlib.Path) -> pathlib.Path:
+    """Path of a copy of `source`, under the same name in `directory`, that begins with a UTF-8 byte-order mark."""
+    path = directory / source.name
+    path.write_bytes(BOM + source.read_bytes())
+    return path
+
+
+class TestByteOrderMark:
+    """An input file that begins with a UTF-8 byte-order mark, as spreadsheet tools save "CSV UTF-8", reads as one without it."""
+
+    CALIBRATE = ["calibrate", "--profiles", "{profiles}", "--measurements", "{measurements}", "--device", "P100", "--batch", "4"]
+    ROOFLINE = ["roofline", "--hw", "{hw}", "--profiles", "{profiles}", "--measurements", "{measurements}", "--device", "P100"]
+    # name -> (command, the input whose copy begins with the mark); {table} is a stats table whose first column is a number
+    CASES = {
+        "calibrate-profiles": (CALIBRATE, "profiles"),
+        "calibrate-measurements": (CALIBRATE, "measurements"),
+        "stats-first-column": (["stats", "{table}", "--x", "x", "--y", "y"], "table"),
+        "roofline-profiles": (ROOFLINE, "profiles"),
+        "roofline-measurements": (ROOFLINE, "measurements"),
+        "roofline-hardware": (ROOFLINE, "hw"),
+        "analyze-yaml": (["analyze", "{yaml}"], "yaml"),
+        "analyze-json": (["analyze", "{json}"], "json"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_prints_the_same_as_without_it(self, tmp_path, json_models, case, fmt):
+        table = tmp_path / "table.csv"
+        table.write_text("x,y,model\n1,2.5,a\n2,3.1,b\n3,2.9,c\n4,5.0,d\n5,4.4,e\n")
+        inputs = {
+            "profiles": FIXTURES / "reference_metrics.csv", "measurements": FIXTURES / "measurements.csv",
+            "hw": FIXTURES / "hardware" / "p100.yaml", "table": table,
+            "yaml": FIXTURES / "models" / "nin.yaml", "json": json_models / "nin.json",
+        }
+        command, marked = self.CASES[case]
+        (tmp_path / "bom").mkdir()
+        results = []
+        for files in (inputs, {**inputs, marked: with_bom(inputs[marked], tmp_path / "bom")}):
+            result = CliRunner().invoke(main, [*(arg.format(**files) for arg in command), "--format", fmt])
+            results.append((result.exit_code, result.stdout))
+        assert results[1] == results[0]
+        assert results[0][0] == 0, results[0]
+
+
+def effective_alpha(alpha: float, batch: int) -> tuple[float, float]:
+    """(k, alpha_B): DI of a batch-B profile at alpha is k times DI of its batch-1 profile at alpha_B.
+
+    Batch B multiplies M/W by B and leaves M/A as it is, so with k = alpha + B(1 - alpha)
+    and alpha_B = alpha / k, (alpha * M/A + B(1 - alpha) * M/W) / 4 = k (alpha_B * M/A + (1 - alpha_B) * M/W) / 4.
+    """
+    k = alpha + batch * (1 - alpha)
+    return k, alpha / k
+
+
+ULP = 2**-52
+
+
+class TestBatchIdentity:
+    """A batch-B report at alpha is the batch-1 report at the effective alpha alpha_B: DI scaled by k, r_p unchanged."""
+
+    @staticmethod
+    def analyze(json_models, *options) -> str:
+        """analyze's stdout on every fixture network, read from its JSON copy (faster to parse than the YAML)."""
+        return run_ok(CliRunner(), ["analyze", *sorted(map(str, json_models.glob("*.json"))), *options])
+
+    @pytest.mark.parametrize("alpha, batch", [(0.8, 4), (0.75, 3), (0.9, 9), (0.6, 2), (0.3, 7)])
+    def test_analyze_di_is_k_times_di_at_the_effective_alpha(self, json_models, alpha, batch):
+        k, alpha_b = effective_alpha(alpha, batch)
+        batched = json.loads(self.analyze(json_models, "--batch", str(batch), "--alpha", repr(alpha), "--format", "json"))
+        single = json.loads(self.analyze(json_models, "--alpha", repr(alpha_b), "--format", "json"))
+        assert [row["model"] for row in batched] == [row["model"] for row in single]
+        assert len(batched) == 25
+        for got, expected in zip(batched, single):
+            assert got["activation_reuse"] == expected["activation_reuse"], got["model"]
+            assert got["di"] == pytest.approx(k * expected["di"], rel=4 * ULP, abs=0), got["model"]
+
+    @pytest.mark.parametrize("batch", [3, 4])
+    def test_calibrate_r_p_at_alpha_is_batch_1_r_p_at_the_effective_alpha(self, tmp_path, json_models, batch):
+        profiles = {}
+        for b in (1, batch):
+            profiles[b] = tmp_path / f"profiles-{b}.csv"
+            profiles[b].write_text(self.analyze(json_models, "--batch", str(b)))
+        pairs = 0
+        for device, series_batch in SERIES:
+            curves = {
+                b: {point["alpha"]: point["r_p"] for point in json.loads(run_ok(CliRunner(), [
+                    "calibrate", "--profiles", str(path), "--measurements", str(FIXTURES / "measurements.csv"),
+                    "--device", device, "--batch", series_batch, "--format", "json",
+                ]))["points"]}
+                for b, path in profiles.items()
+            }
+            for alpha, r_p in curves[batch].items():
+                alpha_b = effective_alpha(alpha, batch)[1]
+                on_grid = [a for a in curves[1] if abs(a - alpha_b) < 1e-9]
+                if on_grid:
+                    pairs += 1
+                    assert r_p == pytest.approx(curves[1][on_grid[0]], rel=0, abs=4 * ULP), (device, series_batch, alpha)
+        # the pairs (alpha, alpha_B) on the default grid: 0 and 1 to themselves, and (0.5, 0.2) and (0.8, 0.5) at batch 4,
+        # (0.25, 0.1), (0.5, 0.25), (0.75, 0.5) and (0.9, 0.75) at batch 3
+        assert pairs == 4 * {3: 6, 4: 4}[batch]

@@ -1,7 +1,7 @@
 """CSV tables through the one row reader: ragged rows, and bad numbers in every numeric column.
 
-Every table the package reads (measurements, both profile schemas,
-power traces and the `stats` table) goes through
+Every table the package reads (measurements, both profile schemas
+and the `stats` table) goes through
 `dnnreuse.document.read_rows`. A data row must be exactly as wide as
 the header. Any malformed number must end in exit 2 with an `error:`
 line, never in a printed result (exit 0) or a traceback (exit 1).
