@@ -32,7 +32,12 @@ from .graph import ModelGraph
 
 @dataclass(frozen=True)
 class NetworkProfile:
-    """Cumulative work/data counts and the ratios derived from them."""
+    """Cumulative work/data counts and the ratios derived from them.
+
+    The constructor fills the instance's fields in one step, then checks
+    the three counts, for every caller, `replace` and `batch_scale`
+    included.
+    """
 
     macs: float
     weights: float
@@ -40,8 +45,8 @@ class NetworkProfile:
     peak_concurrent: float | None = None
     batch: int = 1
 
-    def __post_init__(self):
-        macs, weights, activations = self.macs, self.weights, self.activations
+    def __init__(self, macs: float, weights: float, activations: float, peak_concurrent: float | None = None, batch: int = 1):
+        self.__dict__.update(macs=macs, weights=weights, activations=activations, peak_concurrent=peak_concurrent, batch=batch)
         # accepted when every count lies in [0, float max], which NaN fails, and none is a bool; only a
         # refused profile goes through finite, whose message names the first count that fails
         try:
@@ -93,11 +98,7 @@ class NetworkProfile:
         """
         if weight_reuse <= 0 or activation_reuse <= 0:
             raise InputError("reuse ratios must be positive")
-        return cls(
-            macs=weight_reuse * activation_reuse,
-            weights=activation_reuse,
-            activations=weight_reuse,
-        )
+        return cls(weight_reuse * activation_reuse, activation_reuse, weight_reuse)
 
 
 def _number(fields: list, column: dict, name: str) -> float:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .document import load_document
-from .errors import InputError, finite, positive, sorted_keys
+from .errors import _FLOAT_MAX, InputError, finite, positive, sorted_keys
 
 HARDWARE_KEYS = ("name", "peak_flops", "peak_bandwidth_bytes_per_s")
 
@@ -53,11 +53,16 @@ class HardwareSpec:
 
 @dataclass(frozen=True)
 class RooflinePoint:
+    """One placed intensity; the constructor fills its fields in one step and checks none of them (roofline_points does)."""
+
     label: str
     intensity: float
     attainable: float
     bound: Bound
     measured: float | None = None
+
+    def __init__(self, label: str, intensity: float, attainable: float, bound: Bound, measured: float | None = None):
+        self.__dict__.update(label=label, intensity=intensity, attainable=attainable, bound=bound, measured=measured)
 
 
 @dataclass(frozen=True)
@@ -155,19 +160,30 @@ def roofline_points(
     factor = _conversion(mode, bytes_per_element, flops_per_mac)
     measured = dict(measured or {})
     placed, labels = [], set()
+    cmr, peak, bandwidth = hw.cmr, hw.peak_throughput, hw.peak_bandwidth
     for label, intensity in points:
         text = str(label)
         if text in labels:
             raise InputError(f"label {text!r} is placed twice; each point needs its own label")
         labels.add(text)
-        attainable, bound = _place(hw, factor, intensity)
-        ops = measured.get(label)
-        if ops is not None:
-            ops = finite(ops, f"measured operations per second of {text!r}")
+        # an intensity in (0, float max] and a measured value in float range, which NaN fails, neither a bool, are
+        # placed here as _place places them; any other goes through positive and finite, whose refusals name the label
+        try:
+            accepted = 0 < intensity <= _FLOAT_MAX and ((ops := measured.get(label)) is None or -_FLOAT_MAX <= ops <= _FLOAT_MAX)
+        except TypeError:  # not a number at all, or a label no dict can hold
+            accepted = False
+        if accepted and bool is not intensity.__class__ and bool is not ops.__class__:
+            ops_per_byte = intensity * factor
+            attainable, bound = min(peak, ops_per_byte * bandwidth), Bound.COMPUTE if ops_per_byte >= cmr else Bound.MEMORY
+        else:
+            attainable, bound = _place(hw, factor, positive(intensity, f"intensity of {text!r}"))
+            ops = measured.get(label)
+            if ops is not None:
+                ops = finite(ops, f"measured operations per second of {text!r}")
         placed.append(RooflinePoint(text, float(intensity), attainable, bound, ops))
     if not placed:
         raise InputError("no points to place on the roofline")
-    knee = hw.cmr / factor
+    knee = cmr / factor
     lo = min(min(p.intensity for p in placed), knee) / 10.0
     hi = max(max(p.intensity for p in placed), knee) * 10.0
     if not 0 < lo < hi < math.inf:

@@ -65,15 +65,20 @@ def _unit_deviations(values) -> list[float]:
     neither overflow nor lose digits to subnormal underflow, whatever
     the magnitude of the inputs.
     """
-    if not all(map(math.isfinite, values)):
-        raise DegenerateDataError("correlation undefined on non-finite values")
     low, high = min(values), max(values)
-    if low == high:
-        raise DegenerateDataError("correlation undefined on a zero-variance series")
-    # an exact power-of-two rescale into (-1, 1) keeps the mean's sum finite
+    # an exact power-of-two rescale into (-1, 1) keeps the mean's sum finite, and leaves a NaN or inf as it is (an inf,
+    # or a NaN listed first, is low or high, whose frexp exponent is 0); so the sum is finite unless some value is not
     _, exponent = math.frexp(max(abs(low), abs(high)))
     values = list(map(math.ldexp, values, repeat(-exponent)))
-    mean = math.fsum(values) / len(values)
+    try:
+        total = math.fsum(values)
+    except ValueError:  # inf together with -inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise DegenerateDataError("correlation undefined on non-finite values")
+    if low == high:
+        raise DegenerateDataError("correlation undefined on a zero-variance series")
+    mean = total / len(values)
     deviations = list(map(operator.sub, values, repeat(mean)))
     # rescaling and subtracting the mean never reorder two values, so the largest |deviation| is at low or high
     peak = max(abs(math.ldexp(low, -exponent) - mean), abs(math.ldexp(high, -exponent) - mean))

@@ -391,3 +391,16 @@ def longhand_unit_deviations(values):
     deviations = [s - mean for s in scaled]
     peak = max(abs(d) for d in deviations)
     return [d / peak for d in deviations]
+
+
+def longhand_correlation_refusal(values, ranked=False):
+    """The message a correlation refuses one series with, or None; `ranked` for spearman, which ranks it first.
+
+    Two checks, in this order: any value that is not finite, then a
+    series whose values are all equal.
+    """
+    if not all(math.isfinite(v) for v in values):
+        return f"{'ranks' if ranked else 'correlation'} undefined on non-finite values"
+    if min(values) == max(values):
+        return "correlation undefined on a zero-variance series"
+    return None

@@ -600,6 +600,12 @@ REFUSALS = {
         {"profiles": "model,macs,weights,activations\nx,1e308,0,1e-10\n"},
         2, "{profiles}: row 2: bad value for 'x': macs / activations leaves float range: 1e+308 / 1e-10",
     ),
+    # a zero intensity, once refused without naming the row that held it
+    "profiles-zero-intensity": (
+        ["roofline", "--hw", P100, "--profiles", "{profiles}"],
+        {"profiles": "model,macs,weights,activations\nfine,100,4,6\nzero,0,10,10\n"},
+        2, "intensity of 'zero' must be positive, got 0.0",
+    ),
     "profiles-weights-quotient-beyond-float-range": (
         ["roofline", "--hw", P100, "--profiles", "{profiles}"],
         {"profiles": "model,macs,weights,activations\nx,1e308,1e-10,0\n"},

@@ -32,7 +32,8 @@ from dnnreuse.graph import (
     topo_order,
 )
 from dnnreuse.layercost import LayerCost
-from dnnreuse.netprofile import aggregate
+from dnnreuse.netprofile import NetworkProfile, aggregate, batch_scale, load_profiles
+from dnnreuse.roofline import HardwareSpec, roofline_points
 from oracles import longhand_layer_costs, longhand_topo_order
 
 SMALLEST = """
@@ -743,7 +744,7 @@ def pointwise_documents(draw):
 
 
 class TestRecordParity:
-    """Every record the graph builds behaves as the one its dataclass field list builds."""
+    """Every record the graph, the profiles and the roofline build behaves as the one its dataclass field list builds."""
 
     def test_every_fixture_record(self, model_dir):
         paths = sorted(model_dir.glob("*.yaml"))
@@ -764,6 +765,35 @@ class TestRecordParity:
         for record in (DATA, CONV1, RELU1, LayerSpec(name="k", kind="relu", inputs=("d",), params={}, in_place=True)):
             assert_record_parity(record)
         assert_graph_records(ModelGraph(name="hand", input_shape=TensorShape(3, 8, 8), layers=(DATA, CONV1, RELU1)))
+
+    def test_profile_and_roofline_records(self, fixture_dir, model_dir):
+        loaded = [p for p, _ in load_profiles((fixture_dir / "reference_metrics.csv").read_text()).values()]
+        counted = [p for p, _ in load_profiles("model,macs,weights,activations\na,100,4,6\nb,7,0,3\nc,0,2,0\n").values()]
+        hand = [
+            NetworkProfile(10, 2, 3),
+            NetworkProfile(1.5, 0.5, 2.0, 7, 1),
+            NetworkProfile(macs=6.0, weights=1.0, activations=4.0, peak_concurrent=None, batch=1),
+            NetworkProfile.from_reuse(3.0, 4.0),
+            aggregate(parse_model((model_dir / "alexnet.yaml").read_text())),
+        ]
+        scaled = [batch_scale(p, b) for p in hand for b in (1, 4)]
+        for profile in (*loaded, *counted, *hand, *scaled):
+            assert_record_parity(profile)
+        # the one-step constructor still checks the counts, for replace too
+        refusals = (
+            ({"macs": -1.0}, "profile counts must be non-negative"),
+            ({"weights": float("nan")}, "weights must be a finite number, got nan"),
+            ({"weights": 0, "activations": 0}, "network has no weights or activations"),
+        )
+        for changes, message in refusals:
+            with pytest.raises(ValueError) as refused:
+                replace(hand[0], **changes)
+            assert str(refused.value) == message
+        labelled = [(f"n{i}", p.ai_c) for i, p in enumerate(hand)]
+        chart = roofline_points(HardwareSpec("x", 1e12, 1e11), labelled, measured={"n0": 5e11, "n2": 7})
+        assert [p.measured for p in chart.points] == [5e11, None, 7, None, None]
+        for point in chart.points:
+            assert_record_parity(point)
 
     def test_omitted_params_is_a_new_empty_dict_and_none_is_kept(self):
         first, second = LayerSpec("a", "relu"), LayerSpec("b", "relu")

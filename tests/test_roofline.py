@@ -1,14 +1,18 @@
 import math
 import re
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dnnreuse.errors import InputError
+from dnnreuse.errors import InputError, finite, positive
 from dnnreuse.roofline import (
     ENVELOPE_POINTS,
     Bound,
     HardwareSpec,
+    RooflinePoint,
+    _conversion,
+    _place,
     classify,
     load_hardware_spec,
     roofline_points,
@@ -259,3 +263,72 @@ class TestChart:
         chart = roofline_points(P100, self.POINTS)
         for p in chart.points:
             assert p.attainable == pytest.approx(min(P100.peak_throughput, p.intensity * P100.peak_bandwidth))
+
+
+FLOAT_MAX = sys.float_info.max
+EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1, -2.5, True, False, "3", None, 5e-324, FLOAT_MAX, 10**400, 7, 11.48,
+)
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(), st.integers(-5, 10**6))
+
+
+def rule_function_points(hw, points, measured, mode):
+    """The placed points of roofline_points, each intensity through positive and _place and each measured value
+    through finite, or the first refusal; then the axis check roofline_points makes after placing them."""
+    factor = _conversion(mode, 4.0, 2.0)
+    placed = []
+    for label, intensity in points:
+        text = str(label)
+        attainable, bound = _place(hw, factor, positive(intensity, f"intensity of {text!r}"))
+        ops = measured.get(label)
+        if ops is not None:
+            ops = finite(ops, f"measured operations per second of {text!r}")
+        placed.append(RooflinePoint(text, float(intensity), attainable, bound, ops))
+    knee = hw.cmr / factor
+    lo = min(min(p.intensity for p in placed), knee) / 10.0
+    hi = max(max(p.intensity for p in placed), knee) * 10.0
+    if not 0 < lo < hi < math.inf:
+        raise InputError(f"roofline intensity axis leaves float range: {lo} to {hi}")
+    return tuple(placed)
+
+
+def assert_agrees_with_rule_functions(intensities, measured, mode="raw"):
+    """roofline_points places each point as the rule-function path does, or raises its exception type and message."""
+    points = [(f"m{i}", value) for i, value in enumerate(intensities)]
+    try:
+        expected = rule_function_points(P100, points, measured, mode)
+    except (TypeError, ValueError) as exc:  # InputError is a ValueError
+        with pytest.raises(type(exc)) as refused:
+            roofline_points(P100, points, measured, mode)
+        assert type(refused.value) is type(exc) and str(refused.value) == str(exc)
+        return
+    got = roofline_points(P100, points, measured, mode).points
+    assert got == expected
+    for point, twin in zip(got, expected):
+        assert [type(v) for v in vars(point).values()] == [type(v) for v in vars(twin).values()]
+
+
+class TestAcceptPathAgreesWithTheRuleFunctions:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        intensities=st.lists(VALUES, min_size=1, max_size=3),
+        measured=st.dictionaries(st.sampled_from(["m0", "m1", "m2"]), VALUES, max_size=3),
+        mode=st.sampled_from(["raw", "converted"]),
+    )
+    @example(intensities=[11.48, 0, 23.37], measured={}, mode="raw")
+    @example(intensities=[11.48, 92.55], measured={"m1": math.nan}, mode="converted")
+    def test_drawn_points_agree_with_the_rule_function_oracle(self, intensities, measured, mode):
+        assert_agrees_with_rule_functions(intensities, measured, mode)
+
+    @pytest.mark.parametrize("mode", ["raw", "converted"])
+    @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+    def test_each_edge_value_agrees_with_the_rule_function_oracle(self, value, mode):
+        assert_agrees_with_rule_functions([11.48, value], {}, mode)
+        assert_agrees_with_rule_functions([11.48, 92.55], {"m0": 1e12, "m1": value}, mode)
+        assert_agrees_with_rule_functions([value], {"m0": value}, mode)
+
+    def test_a_refused_intensity_names_its_point(self):
+        with pytest.raises(InputError, match=r"^intensity of 'b' must be positive, got 0\.0$"):
+            roofline_points(P100, [("a", 11.48), ("b", 0.0)])
+        with pytest.raises(InputError, match=r"^intensity of 'b' must be a finite number, got nan$"):
+            roofline_points(P100, [("a", 11.48), ("b", math.nan)])

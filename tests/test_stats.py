@@ -18,7 +18,13 @@ from dnnreuse.stats import (
     select_alpha,
     spearman,
 )
-from tests.oracles import FISHER_Z_CRITICAL, longhand_fisher_ci, longhand_min_sample_size, rank_formula_spearman
+from tests.oracles import (
+    FISHER_Z_CRITICAL,
+    longhand_correlation_refusal,
+    longhand_fisher_ci,
+    longhand_min_sample_size,
+    rank_formula_spearman,
+)
 
 
 def curve_from_series(r_values, step):
@@ -111,6 +117,47 @@ class TestSpearman:
         xs = [0.3, 5.0, 1.2, 9.4, 2.2]
         ys = [2, 4, 1, 5, 3]
         assert spearman([math.exp(x) for x in xs], ys) == pytest.approx(spearman(xs, ys), abs=1e-12)
+
+
+NAN, INF = math.nan, math.inf
+# series where the non-finite check and the zero-variance check could both refuse, and must refuse as the first does
+REFUSED_SERIES = [
+    [1.0, NAN, 1.0], [NAN, 1.0, 1.0], [1.0, 1.0, NAN], [NAN, NAN, NAN], [INF, INF, INF], [-INF, -INF, -INF],
+    [INF, -INF, 1.0], [1.0, -INF, INF], [2.0, 2.0, INF], [-INF, 2.0, 2.0], [NAN, INF, -INF], [INF, NAN, 1.0],
+    [5e-324, 5e-324, NAN], [1.7e308, -1.7e308, INF], [4.0, 4.0, 4.0],
+]
+
+
+def assert_refuses_as_the_two_checks(call, values, ranked=False):
+    """`call` raises DegenerateDataError with the two-check longhand's message for `values`, or passes if it has none."""
+    message = longhand_correlation_refusal(values, ranked)
+    if message is None:
+        call()
+        return
+    with pytest.raises(DegenerateDataError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+class TestSeriesCheckOrder:
+    """A non-finite value refuses a series before zero variance does, through every caller of the two checks."""
+
+    @pytest.mark.parametrize("values", REFUSED_SERIES, ids=repr)
+    def test_pearson_spearman_and_sweep(self, values):
+        self.check(values)
+
+    @given(st.lists(st.sampled_from([1.0, 2.0, NAN, INF, -INF]), min_size=3, max_size=6))
+    def test_drawn_series(self, values):
+        self.check(values)
+
+    def check(self, values):
+        pair = [float(i) for i in range(1, len(values) + 1)]
+        assert_refuses_as_the_two_checks(lambda: pearson(values, pair), values)
+        assert_refuses_as_the_two_checks(lambda: pearson(pair, values), values)
+        assert_refuses_as_the_two_checks(lambda: spearman(values, pair), values, ranked=True)
+        assert_refuses_as_the_two_checks(lambda: spearman(pair, values), values, ranked=True)
+        profiles = [NetworkProfile.from_reuse(float(i), float(2 * i + 1)) for i in range(1, len(values) + 1)]
+        assert_refuses_as_the_two_checks(lambda: alpha_sweep(profiles, values, step=0.5), values)
 
 
 class TestAlphaGrid:
